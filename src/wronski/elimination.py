@@ -23,13 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import DegenerateInstanceError, DomainError, EliminationError
 from .polynomial import Polynomial
-from .realroots import (IsolatingInterval, UnivariatePolynomial, ddiv_exact, dgcd,
-                        dprimitive, dstrip, isolate_real_roots, refine_interval,
-                        sturm_count)
+from .realroots import (IsolatingInterval, UnivariatePolynomial, dcompress, ddiv_exact,
+                        dexpand, dexponent_gcd, dgcd, dprimitive, dstrip, isolate_real_roots,
+                        refine_interval, sturm_count)
 from .resultants import resultant
 from .rng import Stream, derive_seed
 from .systems import MetaSystem, boundary_subsystems
@@ -204,28 +203,6 @@ class EliminationResult:
         }
 
 
-def _compress_exponents(ints):
-    """Write P(t) = Q(t^g) for the largest g; P must have nonzero constant term."""
-    g = 0
-    for k in range(1, len(ints)):
-        if ints[k]:
-            g = gcd(g, k)
-            if g == 1:
-                break
-    if g <= 1:
-        return 1, list(ints)
-    return g, [ints[k] for k in range(0, len(ints), g)]
-
-
-def _expand_exponents(ints, g):
-    if g <= 1:
-        return list(ints)
-    out = [0] * ((len(ints) - 1) * g + 1)
-    for k, c in enumerate(ints):
-        out[k * g] = c
-    return out
-
-
 def _compressed_squarefree(ints):
     """Squarefree part computed inside the exponent lattice of the input.
 
@@ -233,19 +210,15 @@ def _compressed_squarefree(ints):
     is, and the squarefree parts correspond under the same substitution; the
     compressed domain makes the gcd with the derivative g^2 times cheaper.
     """
-    g, comp = _compress_exponents(ints)
-    sf = UnivariatePolynomial.from_int_list(comp).squarefree_part().int_primitive()
-    return _expand_exponents(sf, g)
+    g = dexponent_gcd(ints)
+    sf = UnivariatePolynomial.from_int_list(dcompress(ints, g)).squarefree_part().int_primitive()
+    return dexpand(sf, g)
 
 
 def _compressed_gcd(a, b):
     """gcd of integer polynomials through their common exponent lattice."""
-    ga, ca = _compress_exponents(a)
-    gb, cb = _compress_exponents(b)
-    g = gcd(ga, gb)
-    A = _expand_exponents(ca, ga // g)
-    B = _expand_exponents(cb, gb // g)
-    return _expand_exponents(dgcd(A, B), g)
+    g = dexponent_gcd(b, dexponent_gcd(a))
+    return dexpand(dgcd(dcompress(a, g), dcompress(b, g)), g)
 
 
 def _elim_step(f: Polynomial, g: Polynomial, var: str, deadline=None) -> Polynomial:
@@ -396,6 +369,11 @@ def certify_no_real_solutions(system: MetaSystem, t_upper=None, refine: int = 2,
     criteria holds.
     """
     result = eliminate_to_t(system, refine=refine, seed=seed, deadline=deadline)
+    return certify_elimination(result, t_upper)
+
+
+def certify_elimination(result: EliminationResult, t_upper=None) -> Certificate:
+    """The certificate of certify_no_real_solutions for an elimination already done."""
     lo = Fraction(0) if t_upper is not None else None
     hi = Fraction(t_upper) if t_upper is not None else None
     candidates = [iv for iv in result.real_root_candidates(lo=lo, hi=hi, include_zero=False)
@@ -471,9 +449,10 @@ def count_real_intersections(f: Polynomial, g: Polynomial, seed: int = 0):
         if R.is_constant():
             return (0, 0)
         u = _as_x_poly(R)
-        if not u.is_squarefree():
+        sf = u.squarefree_part()
+        if sf.degree() < u.degree():
             continue
-        return (sturm_count(u, (None, None)), u.degree())
+        return (sturm_count(sf, (None, None)), u.degree())
     if computed and zero_count == computed:
         raise EliminationError("non-finite intersection: curves share a component")
     raise DegenerateInstanceError("degenerate instance: resultant never squarefree")

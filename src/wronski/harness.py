@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
-from .elimination import (boundary_check, certify_no_real_solutions,
-                          count_real_intersections, eliminate_to_t)
+from .elimination import (boundary_check, certify_elimination, count_real_intersections,
+                          eliminate_to_t)
 from .errors import DegenerateInstanceError, DomainError
 from .heights import HeightFunction, in_secondary_cone, load_heights, minimal_height, secondary_cone_facets
 from .lattice import f_vector, hexagon_example, honeycomb_triangulation, signature, to_json_dict
@@ -229,7 +229,7 @@ def meta_report(delta: int, height, refine: int = 2, seed: int = 0,
            if (iv.is_point and iv.lo > 0) or (not iv.is_point and iv.lo >= 0)]
     if pos:
         min_pos = pos[0]
-    cert = certify_no_real_solutions(system, refine=refine, seed=seed, deadline=deadline)
+    cert = certify_elimination(result)
     boundary = [
         {"stratum": rep.label, "status": rep.status, "colors": list(rep.colors_present),
          "t_candidates": [iv.to_json() for iv in rep.t_candidates], "detail": rep.detail}

@@ -2,9 +2,18 @@
 
 Everything is exact.  Sturm chains are computed as primitive integer
 sequences via sign-corrected pseudo-remainders, so coefficient growth stays
-polynomial instead of exponential.  Intervals returned by the isolator are
-pairwise disjoint and each contains exactly one distinct real root; exact
-rational roots come back as degenerate [r, r] intervals.
+polynomial instead of exponential, and signs at rational points are taken in
+integers.  Intervals returned by the isolator are pairwise disjoint and each
+contains exactly one distinct real root; exact rational roots come back as
+degenerate [r, r] intervals.  A polynomial keeps its squarefree part once
+computed, so isolation, refinement and Sturm counts share one gcd.
+
+The integer-list kernels `dmul` and `ddiv_exact` switch on operand length
+alone: below KRONECKER_MIN terms they run the schoolbook loops; from there on
+the operands are packed into single integers (Kronecker substitution) and
+multiplied by CPython's C big-integer arithmetic, and quotients come from a
+2-adic exact division that is accepted only after multiplying back to the
+dividend exactly; an inexact division still raises ValueError.
 """
 
 from __future__ import annotations
@@ -37,8 +46,11 @@ def dsub(a, b):
 
 
 def dmul(a, b):
+    """Product of integer polynomials; packed into one big integer for long operands."""
     if not a or not b:
         return []
+    if min(len(a), len(b)) >= KRONECKER_MIN:
+        return _kmul(a, b)
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca == 0:
@@ -71,11 +83,20 @@ def dprimitive(a):
 
 
 def ddiv_exact(a, b):
-    """Exact division of integer polynomials; raises if not exact."""
+    """Exact division of integer polynomials; raises ValueError if not exact.
+
+    Long operands go through the packed 2-adic quotient, which is returned
+    only after multiplying back to a; otherwise (or when that check fails)
+    the schoolbook loop decides.
+    """
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
     if not a:
         return []
+    if len(b) >= KRONECKER_MIN and len(a) - len(b) + 1 >= KRONECKER_MIN and a[-1] and b[-1]:
+        q = _kdiv_exact(a, b)
+        if q is not None:
+            return q
     r = list(a)
     out = [0] * (len(a) - len(b) + 1)
     lb = b[-1]
@@ -135,25 +156,144 @@ def dgcd(a, b):
     return g
 
 
-def deval(a, x: Fraction):
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
+def dexponent_gcd(a, g: int = 0) -> int:
+    """gcd of g and every positive exponent carrying a nonzero coefficient of a."""
+    for k in range(1, len(a)):
+        if a[k]:
+            g = gcd(g, k)
+            if g == 1:
+                break
+    return g
 
 
-def dshift_down(a, k: int):
-    """Divide by x^k (requires the low coefficients to vanish)."""
-    if any(c != 0 for c in a[:k]):
-        raise ValueError("not divisible by that power of x")
-    return a[k:]
+def dcompress(a, g: int):
+    """Q with a(t) = Q(t^g); g must divide every exponent of a (g <= 1: a copy)."""
+    return a[::g] if g > 1 else list(a)
 
 
-def dtrailing_zeros(a) -> int:
-    k = 0
-    while k < len(a) and a[k] == 0:
-        k += 1
-    return k if a else 0
+def dexpand(a, g: int):
+    """a(t^g) from a(t)."""
+    if g <= 1:
+        return list(a)
+    out = [0] * ((len(a) - 1) * g + 1) if a else []
+    out[::g] = a
+    return out
+
+
+# -- packed (Kronecker) kernels ---------------------------------------------------
+#
+# A polynomial with |coefficients| < 2^(w-1) is packed into the integer a(2^w),
+# w a whole number of bytes, so that CPython's C big-integer product does the
+# work of the O(n^2) Python loop (Kronecker substitution).  Signed slots are
+# written and read through to_bytes/from_bytes with a bias of 2^(w-1) per
+# slot.  Packing costs O(n) Python steps per operand, so it loses on short
+# operands (about 0.3x at 8 terms); both kernels choose the path from the
+# operand lengths alone, with KRONECKER_MIN as the cut-off.
+
+KRONECKER_MIN = 24
+
+
+def _maxbits(a) -> int:
+    return max(max(a), -min(a)).bit_length()
+
+
+def _bias(n: int, nbytes: int) -> int:
+    """sum of 2^(w-1) 2^(w i) over n slots of w = 8 nbytes bits."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+
+
+def _pack(a, nbytes: int) -> int:
+    """a(2^w) for w = 8 nbytes; every |coefficient| must be below 2^(w-1)."""
+    half = 1 << (8 * nbytes - 1)
+    raw = b"".join([(c + half).to_bytes(nbytes, "little") for c in a])
+    return int.from_bytes(raw, "little") - _bias(len(a), nbytes)
+
+
+def _unpack(x: int, n: int, nbytes: int):
+    """The n balanced base-2^w digits of x modulo 2^(w n), lowest first."""
+    half = 1 << (8 * nbytes - 1)
+    size = n * nbytes
+    raw = ((x + _bias(n, nbytes)) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    return [int.from_bytes(raw[i:i + nbytes], "little") - half
+            for i in range(0, size, nbytes)]
+
+
+def _kmul(a, b):
+    """dmul through one big-integer product; exact for any integer lists."""
+    # |c_k| < min(len) 2^(bits a + bits b), plus a sign bit
+    w = _maxbits(a) + _maxbits(b) + min(len(a), len(b)).bit_length() + 1
+    nbytes = (w + 7) // 8
+    x = _pack(a, nbytes)
+    y = x if b is a else _pack(b, nbytes)
+    return dstrip(_unpack(x * y, len(a) + len(b) - 1, nbytes))
+
+
+def _pack_wide(a, nbytes: int) -> int:
+    """a(2^w) for w = 8 nbytes, with coefficients of any size.
+
+    A coefficient spanning m slots overlaps its neighbours, so the list is
+    packed as m interleaved sublists with slots m times wider.
+    """
+    w = 8 * nbytes
+    m = (_maxbits(a) + w) // w
+    if m == 1:
+        return _pack(a, nbytes)
+    return sum(_pack(a[r::m], m * nbytes) << (w * r) for r in range(m))
+
+
+def _inverse_2adic(b: int, nbits: int) -> int:
+    """b^-1 modulo 2^nbits for odd b, by Newton (Hensel) lifting."""
+    precisions = []
+    while nbits > 64:
+        precisions.append(nbits)
+        nbits = (nbits + 1) // 2
+    x = pow(b & ((1 << nbits) - 1), -1, 1 << nbits)
+    for p in reversed(precisions):
+        # x is exact modulo 2^k; b x = 1 + 2^k e, and x (1 - 2^k e) is exact modulo 2^p
+        k = nbits
+        e = (((b & ((1 << p) - 1)) * x) >> k) & ((1 << (p - k)) - 1)
+        x = (x - ((x * e) << k)) & ((1 << p) - 1)
+        nbits = p
+    return x
+
+
+def _kdiv_exact(a, b):
+    """a / b by 2-adic exact division of the packed operands, or None.
+
+    With q = a / b exact, q(2^w) = a(2^w) / b(2^w) as integers, and its low
+    w n_q bits, read as balanced slots, are the coefficients of q when each
+    fits in a slot.  Those bits follow from the low n_q + 1 coefficients of a
+    and b alone: strip the common power of x, then the power of 2 dividing
+    b(2^w), and multiply by the 2-adic inverse of the odd rest (Jebelean's
+    exact division).  The first slot width guesses bits(q) from bits(a) -
+    bits(b); the second holds any exact quotient (Mignotte: |q| <= 2^deg q
+    ||a||_2).  A quotient is returned only when multiplying it back gives a,
+    so nothing is assumed; None means no candidate passed.
+    """
+    z = 0
+    while b[z] == 0:
+        z += 1
+    if any(a[:z]):
+        return None
+    if z:
+        a, b = a[z:], b[z:]
+    nq = len(a) - len(b) + 1
+    low_a, low_b = a[:nq + 1], b[:nq + 1]
+    bits_a = _maxbits(a)
+    v = (b[0] & -b[0]).bit_length() - 1  # 2-adic valuation of b(2^w) when below w
+    for qbits in (bits_a - _maxbits(b) + 8, bits_a + nq + len(a).bit_length()):
+        nbytes = max(qbits, 0) // 8 + 1  # |q_i| < 2^qbits <= 2^(w-1)
+        if v >= 8 * nbytes:
+            continue
+        nbits = 8 * nbytes * nq
+        A, B = _pack_wide(low_a, nbytes), _pack_wide(low_b, nbytes)
+        if A & ((1 << v) - 1):
+            return None
+        Q = ((A >> v) * _inverse_2adic(B >> v, nbits)) & ((1 << nbits) - 1)
+        q = _unpack(Q, nq, nbytes)
+        if q[-1] and _kmul(q, b) == a:
+            return q
+    return None
 
 
 # -- the univariate polynomial wrapper ------------------------------------------
@@ -162,7 +302,7 @@ def dtrailing_zeros(a) -> int:
 class UnivariatePolynomial:
     """Dense rational coefficients, ascending; the zero polynomial is allowed."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_sf")
 
     def __init__(self, coeffs):
         cs = []
@@ -172,6 +312,7 @@ class UnivariatePolynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = [int(c) if isinstance(c, Fraction) and c.denominator == 1 else c for c in cs]
+        self._sf = None  # the squarefree part, once computed
 
     # construction helpers
 
@@ -183,6 +324,7 @@ class UnivariatePolynomial:
     def from_int_list(cls, ints):
         p = cls.__new__(cls)
         p.coeffs = dstrip(list(ints))
+        p._sf = None
         return p
 
     @classmethod
@@ -276,19 +418,26 @@ class UnivariatePolynomial:
         return "UnivariatePolynomial(" + " + ".join(terms) + ")"
 
     def squarefree_part(self) -> "UnivariatePolynomial":
-        ints = self.int_primitive()
-        if len(ints) <= 1:
-            return UnivariatePolynomial.from_int_list(ints and [1])
-        g = dgcd(ints, dstrip([k * c for k, c in enumerate(ints)][1:]))
-        if len(g) == 1:
-            return UnivariatePolynomial.from_int_list(dprimitive(ints))
-        return UnivariatePolynomial.from_int_list(dprimitive(ddiv_exact(ints, g)))
+        """Primitive squarefree part, positive leading coefficient; kept once computed."""
+        if self._sf is None:
+            ints = self.int_primitive()
+            if len(ints) <= 1:
+                sf = UnivariatePolynomial.from_int_list(ints and [1])
+            else:
+                g = dgcd(ints, dstrip([k * c for k, c in enumerate(ints)][1:]))
+                sf = UnivariatePolynomial.from_int_list(
+                    dprimitive(ints if len(g) == 1 else ddiv_exact(ints, g)))
+            sf._sf = sf
+            self._sf = sf
+        return self._sf
 
     def is_squarefree(self) -> bool:
-        ints = self.int_primitive()
-        if len(ints) <= 2:
-            return True
-        return len(dgcd(ints, dstrip([k * c for k, c in enumerate(ints)][1:]))) == 1
+        return _squarefree(self).degree() == self.degree()
+
+
+def _squarefree(p: UnivariatePolynomial) -> UnivariatePolynomial:
+    """p's squarefree part, reusing the one p already holds."""
+    return p._sf if p._sf is not None else p.squarefree_part()
 
 
 def _synth_div(p: UnivariatePolynomial, r: Fraction) -> UnivariatePolynomial:
@@ -331,7 +480,12 @@ def _variations(signs) -> int:
 
 
 def _sign_at(ints, x: Fraction) -> int:
-    v = deval(ints, x)
+    """Sign of the polynomial at x = n/d, from the integer d^deg p(n/d) (d > 0)."""
+    n, d = x.numerator, x.denominator
+    v, dk = 0, 1
+    for c in reversed(ints):
+        v = v * n + c * dk
+        dk *= d
     return (v > 0) - (v < 0)
 
 
@@ -356,7 +510,7 @@ def sturm_count(p: UnivariatePolynomial, interval) -> int:
     a, b = interval
     if a is not None and b is not None and Fraction(a) >= Fraction(b):
         raise DomainError("need a < b")
-    q = p.squarefree_part()
+    q = _squarefree(p)
     extra = 0
     if b is not None and q(b) == 0:
         extra = 1
@@ -412,8 +566,9 @@ def isolate_real_roots(p: UnivariatePolynomial):
     """Disjoint isolating intervals, one per distinct real root, sorted."""
     if p.is_zero():
         raise DomainError("identically zero polynomial")
-    was_squarefree = p.is_squarefree()
-    q = p.squarefree_part()
+    sf = _squarefree(p)
+    was_squarefree = sf.degree() == p.degree()
+    q = sf
     if q.degree() <= 0:
         return []
     found_points = []
@@ -461,7 +616,6 @@ def isolate_real_roots(p: UnivariatePolynomial):
         break
 
     out = [IsolatingInterval(r, r, was_squarefree) for r in found_points]
-    sf = p.squarefree_part()
     out.extend(_with_interior_endpoints(sf, lo, hi, was_squarefree)
                for lo, hi in intervals)
     out.sort(key=lambda iv: (iv.lo, iv.hi))
@@ -498,7 +652,7 @@ def refine_interval(p: UnivariatePolynomial, interval: IsolatingInterval,
     """Shrink an isolating interval below the requested width by bisection."""
     if interval.is_point:
         return interval
-    q = p.squarefree_part()
+    q = _squarefree(p)
     lo, hi = interval.lo, interval.hi
     # other roots of p sitting exactly on an endpoint are divided out; the
     # bracketed root itself is strictly interior

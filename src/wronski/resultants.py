@@ -1,10 +1,17 @@
 """Resultants of multivariate polynomials by subresultant remainder sequences.
 
 The PRS runs over an abstract coefficient ring.  Inputs whose coefficients
-live in at most one remaining variable are routed through dense integer-list
+live in at most one remaining variable u are routed through dense integer-list
 arithmetic, which is where all the heavy elimination work lands; the general
-sparse-polynomial ring handles the rest.  A direct Sylvester-determinant
-evaluator is provided as an independent cross-check for small degrees.
+sparse-polynomial ring handles the rest.  On that integer path the u-exponents
+are first compressed to their lattice: when k > 1 divides every exponent, the
+PRS runs in s = u^k and the result is expanded back, which is exact because
+u -> u^k is an injective ring map and the resultant commutes with it.  The
+shorter, dense coefficient lists then go through the packed (Kronecker)
+products and 2-adic exact divisions of `realroots.dmul` and
+`realroots.ddiv_exact` once they reach KRONECKER_MIN terms.  A direct
+Sylvester-determinant evaluator is provided as an independent cross-check
+for small degrees.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .polynomial import Polynomial
-from .realroots import ddiv_exact, dmul, dneg, dstrip, dsub
+from .realroots import dcompress, ddiv_exact, dexpand, dexponent_gcd, dmul, dneg, dstrip, dsub
 
 # -- coefficient ring adapters --------------------------------------------------
 
@@ -179,10 +186,15 @@ def resultant(f: Polynomial, g: Polynomial, var: str, deadline=None) -> Polynomi
         u = live[0] if live else None
         A_l = [_dense_in(c, u) for c in A]
         B_l = [_dense_in(c, u) for c in B]
-        res = _prs_resultant(A_l, B_l, _IntListRing, deadline)
+        # u -> u^k is an injective ring map, so the resultant commutes with it
+        k = 0
+        for c in A_l + B_l:
+            k = dexponent_gcd(c, k)
+        res = _prs_resultant([dcompress(c, k) for c in A_l], [dcompress(c, k) for c in B_l],
+                             _IntListRing, deadline)
         if res is None:
             return Polynomial.zero(rest)
-        out = _from_dense(res, u, rest)
+        out = _from_dense(dexpand(res, k), u, rest)
     else:
         ring = _PolyRing(rest)
         res = _prs_resultant(A, B, ring, deadline)

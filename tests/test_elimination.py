@@ -2,13 +2,14 @@ from fractions import Fraction as Q
 
 import pytest
 
-from wronski.elimination import (boundary_check, certify_no_real_solutions,
-                                 count_real_intersections, eliminate_to_t)
+from wronski.elimination import (boundary_check, certify_elimination,
+                                 certify_no_real_solutions, count_real_intersections,
+                                 eliminate_to_t)
 from wronski.errors import EliminationError
 from wronski.heights import HeightFunction, minimal_height
 from wronski.lattice import hexagon_example
 from wronski.polynomial import Polynomial
-from wronski.realroots import (UnivariatePolynomial, count_real_roots, dgcd,
+from wronski.realroots import (UnivariatePolynomial, count_real_roots, ddiv_exact, dgcd,
                                sturm_count)
 from wronski.resultants import resultant
 from wronski.rng import Stream
@@ -42,6 +43,14 @@ def test_hexagon_nonzero_real_roots_lift_only_to_complex_points():
 def test_hexagon_certificate_over_interval():
     cert = certify_no_real_solutions(hexagon_meta(), t_upper=Q(1))
     assert cert.certified
+
+
+def test_certify_elimination_reuses_an_elimination():
+    for system in (hexagon_meta(), meta_system(3, HeightFunction.rho(3))):
+        result = eliminate_to_t(system, refine=2)
+        for t_upper in (None, Q(1)):
+            assert certify_elimination(result, t_upper) == \
+                certify_no_real_solutions(system, t_upper=t_upper)
 
 
 def test_delta1_constant_eliminant():
@@ -163,12 +172,18 @@ def test_eliminate_honors_deadline():
 
 
 def test_minimal_height_elimination_is_sound_superset():
-    # the minimal height produces systems whose solver-reported dimension is
-    # positive; vertical components still project into the candidate roots,
-    # so the eliminant multiple must be nonzero and carry real candidates
-    res = eliminate_to_t(meta_system(3, minimal_height(3)))
-    assert res.E.degree() > 0
-    assert res.count_nonzero_real_roots() >= 0
+    # refinement takes a gcd with further routes, so the refined E divides the
+    # primary route's E exactly and every refined candidate is an unrefined one
+    # (at delta 3 refinement sheds both real candidates; delta 2 keeps one)
+    for delta, degrees in ((3, (12, 6)), (2, (3, 3))):
+        system = meta_system(delta, minimal_height(delta))
+        plain = eliminate_to_t(system, refine=0)
+        refined = eliminate_to_t(system, refine=2)
+        assert (plain.E.degree(), refined.E.degree()) == degrees
+        ddiv_exact(plain.E.int_primitive(), refined.E.int_primitive())
+        unrefined = plain.real_root_candidates(include_zero=False)
+        for iv in refined.real_root_candidates(include_zero=False):
+            assert any(iv.lo <= other.hi and other.lo <= iv.hi for other in unrefined), iv
 
 
 def test_eliminate_raises_on_shared_component():

@@ -164,3 +164,28 @@ def test_squarefree_part_and_flag():
     assert sf.degree() == 2
     assert not p.is_squarefree()
     assert sf.is_squarefree()
+
+
+def test_squarefree_part_is_kept_and_reused():
+    p = U.from_roots([1, 1, 2, Fraction(1, 3)])
+    sf = p.squarefree_part()
+    assert p.squarefree_part() is sf and sf.squarefree_part() is sf
+    assert sf == U([-2, 9, -10, 3])
+    ivs = isolate_real_roots(p)
+    assert [iv.multiplicity_free for iv in ivs] == [False] * 3
+    assert sturm_count(p, (0, 3)) == sturm_count(sf, (0, 3)) == 3
+    wide = [iv for iv in ivs if not iv.is_point]
+    for iv in wide:
+        assert refine_interval(p, iv, Fraction(1, 1000)) == refine_interval(sf, iv, Fraction(1, 1000))
+
+
+def test_sign_at_rationals_matches_fraction_evaluation():
+    from wronski.realroots import _sign_at
+
+    stream = Stream(17)
+    for _ in range(200):
+        ints = [stream.nonzero_int(40) for _ in range(stream.nonzero_int(6) % 6 + 1)]
+        x = Fraction(stream.nonzero_int(50), abs(stream.nonzero_int(7)))
+        v = U(ints)(x)
+        assert _sign_at(ints, x) == (v > 0) - (v < 0)
+    assert _sign_at([-6, 1, 1], Fraction(2)) == 0 and _sign_at([], Fraction(1, 3)) == 0
