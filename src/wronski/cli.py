@@ -166,8 +166,7 @@ def _dispatch(args) -> int:
         _emit(rec.to_json(), args.out, args.format)
     elif cmd == "montecarlo":
         rec = monte_carlo_hexagon(args.n, args.seed, args.t_range, args.c_range)
-        _emit(rec.to_json() if args.format == "json" else rec.to_json(),
-              args.out, args.format)
+        _emit(rec.to_json(), args.out, args.format)
     elif cmd == "plot":
         if len(args.window) != 4:
             raise DomainError("--window needs x0,x1,y0,y1")

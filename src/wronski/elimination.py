@@ -26,9 +26,9 @@ from fractions import Fraction
 
 from .errors import DegenerateInstanceError, DomainError, EliminationError
 from .polynomial import Polynomial
-from .realroots import (IsolatingInterval, UnivariatePolynomial, dcompress, ddiv_exact,
-                        dexpand, dexponent_gcd, dgcd, dprimitive, dstrip, isolate_real_roots,
-                        refine_interval, sturm_count)
+from .realroots import (IsolatingInterval, UnivariatePolynomial, count_real_roots, dcompress,
+                        ddiv_exact, dexpand, dexponent_gcd, dgcd, dmul, dprimitive, dstrip,
+                        isolate_real_roots, refine_interval)
 from .resultants import resultant
 from .rng import Stream, derive_seed
 from .systems import MetaSystem, boundary_subsystems
@@ -131,7 +131,7 @@ class ProjectionFactor:
             return False
         if u.is_zero() or u.degree() == 0:
             return not u.is_zero()
-        return sturm_count(u, (None, None)) == 0
+        return count_real_roots(u) == 0
 
 
 @dataclass(frozen=True)
@@ -319,8 +319,12 @@ def eliminate_to_t(system: MetaSystem, refine: int = 0, seed: int = 0,
         k3 += 1
     sf = _compressed_squarefree(ints) if ints else []
     refined_degrees = []
-    for E2_raw, _, _ in extra_results:
+    for E2_raw, extra_projections, _ in extra_results:
+        # a solution's t may be a root of this route's stripped contents only
         other = E2_raw.int_primitive()
+        for pr in extra_projections:
+            if pr.content.degree() > 0:
+                other = dmul(other, pr.content.coeffs)
         while other and other[0] == 0:
             other = other[1:]
         if other:
@@ -416,26 +420,40 @@ def _content_has_roots(content: UnivariatePolynomial, lo, hi) -> bool:
 def count_real_intersections(f: Polynomial, g: Polynomial, seed: int = 0):
     """Count distinct real affine intersection points of two plane curves.
 
-    A nonzero shear x <- x + s y is applied until both sheared curves have a
-    constant leading y-coefficient and the y-resultant is nonzero and
-    squarefree.  Then every root of the resultant carries exactly one simple
-    intersection point, and complex conjugation forces the point over a real
-    root to be real, so the count of real resultant roots is the count of
-    real intersection points.  Returns (count, degree of the resultant).
+    On the shear found by sheared_resultant every root of the resultant
+    carries exactly one simple intersection point, and complex conjugation
+    forces the point over a real root to be real, so the count of real
+    resultant roots is the count of real intersection points.  Returns
+    (count, degree of the resultant); (0, 0) when the curves do not meet.
     """
     if f.is_zero() or g.is_zero() or f.is_constant() or g.is_constant():
         raise DomainError("counting needs two nonconstant curves")
+    u = sheared_resultant(f, g, seed)[3]
+    return (count_real_roots(u), u.degree())
+
+
+def sheared_resultant(f: Polynomial, g: Polynomial, seed: int = 0):
+    """The first usable shear x <- x + s y of two plane curves.
+
+    Up to eight distinct nonzero shears s are drawn from the seed.  A shear is
+    usable when both sheared curves have a constant leading y-coefficient and
+    their y-resultant u(x) is nonzero and squarefree; a nonzero constant u
+    (the curves do not meet) is usable too.  Returns (s, fs, gs, u) with fs,
+    gs the sheared curves.  Raises EliminationError when every resultant
+    computed vanished (a shared component) and DegenerateInstanceError when
+    no shear was usable otherwise.
+    """
     stream = Stream(derive_seed(seed, 0x5EA2))
     shears = []
     while len(shears) < 8:
         s = stream.nonzero_int(9)
         if s not in shears:
             shears.append(s)
+    x = Polynomial.variable("x", ("x", "y"))
+    y = Polynomial.variable("y", ("x", "y"))
     computed = 0
     zero_count = 0
     for s in shears:
-        x = Polynomial.variable("x", ("x", "y"))
-        y = Polynomial.variable("y", ("x", "y"))
         sub = {"x": x + s * y}
         fs = f.substitute(sub)
         gs = g.substitute(sub)
@@ -446,13 +464,9 @@ def count_real_intersections(f: Polynomial, g: Polynomial, seed: int = 0):
         if R.is_zero():
             zero_count += 1
             continue
-        if R.is_constant():
-            return (0, 0)
-        u = _as_x_poly(R)
-        sf = u.squarefree_part()
-        if sf.degree() < u.degree():
-            continue
-        return (sturm_count(sf, (None, None)), u.degree())
+        u = UnivariatePolynomial([R.constant_value()]) if R.is_constant() else _as_x_poly(R)
+        if u.is_squarefree():
+            return s, fs, gs, u
     if computed and zero_count == computed:
         raise EliminationError("non-finite intersection: curves share a component")
     raise DegenerateInstanceError("degenerate instance: resultant never squarefree")

@@ -3,8 +3,8 @@
 Determinism contract: a RunRecord's per-instance results depend only on the
 experiment configuration, including the master seed.  Retry r of instance k
 draws from the splitmix64 substream derive_seed(seed, 256 k + r) and the
-instance's shear stream is derive_seed(seed, k), so serial and sharded runs
-see identical draws.
+instance's shear stream is derive_seed(seed, k), so what instance k draws
+does not depend on the instances before it.
 """
 
 from __future__ import annotations

@@ -74,11 +74,6 @@ class HeightFunction:
     def zero(cls, delta: int) -> "HeightFunction":
         return cls.from_callable(delta, lambda p: 0)
 
-    def scaled(self, factor) -> "HeightFunction":
-        if factor <= 0:
-            raise DomainError("scale factor must be positive")
-        return HeightFunction(self.delta, {p: v * factor for p, v in self.values.items()})
-
     def to_json(self) -> dict:
         return {f"{i},{j}": str(self.values[(i, j)]) for (i, j) in sorted(self.values)}
 

@@ -151,7 +151,3 @@ def orientation_witness(system: FacetSystem):
 def orientable(system: FacetSystem) -> bool:
     """Whether the smooth locus of the associated spherical variety is orientable."""
     return orientation_witness(system) is not None
-
-
-def orientable_polygon(vertices) -> bool:
-    return orientable(facet_system(vertices))

@@ -12,12 +12,10 @@ import os
 import tempfile
 from fractions import Fraction
 
-from .elimination import _constant_leading_y
-from .errors import DegenerateInstanceError, DomainError
+from .elimination import sheared_resultant
+from .errors import DegenerateInstanceError, DomainError, EliminationError
 from .polynomial import Polynomial
-from .realroots import UnivariatePolynomial, isolate_real_roots, refine_interval
-from .resultants import resultant
-from .rng import Stream, derive_seed
+from .realroots import isolate_real_roots, refine_interval
 
 # corner bits: 1=(i,j), 2=(i+1,j), 4=(i+1,j+1), 8=(i,j+1); edges by corner pair
 _EDGES = {
@@ -92,37 +90,27 @@ def _compiled(poly: Polynomial):
 
 
 def exact_intersection_markers(f: Polynomial, g: Polynomial, seed: int = 0):
-    """Float (x, y) markers from exactly isolated intersection abscissas."""
-    stream = Stream(derive_seed(seed, 0x5EA2))
-    shears = []
-    while len(shears) < 8:
-        s = stream.nonzero_int(9)
-        if s not in shears:
-            shears.append(s)
-    for s in shears:
-        x = Polynomial.variable("x", ("x", "y"))
-        y = Polynomial.variable("y", ("x", "y"))
-        fs = f.substitute({"x": x + s * y})
-        gs = g.substitute({"x": x + s * y})
-        if not _constant_leading_y(fs) or not _constant_leading_y(gs):
+    """Float (x, y) markers from exactly isolated intersection abscissas.
+
+    Curves that share a component or do not meet have nothing to mark and
+    raise DegenerateInstanceError.
+    """
+    try:
+        s, fs, gs, u = sheared_resultant(f, g, seed)
+    except EliminationError as exc:
+        raise DegenerateInstanceError("no usable shear for marker extraction") from exc
+    if u.degree() <= 0:
+        raise DegenerateInstanceError("no usable shear for marker extraction")
+    markers = []
+    for iv in isolate_real_roots(u):
+        iv = refine_interval(u, iv, Fraction(1, 10 ** 6))
+        x_hat = float(iv.midpoint())
+        y_c = _fiber_root(fs, gs, x_hat)
+        if y_c is None:
             continue
-        R = resultant(fs, gs, "y").drop_unused()
-        if R.is_zero() or R.is_constant():
-            continue
-        u = UnivariatePolynomial([c.constant_value() for c in R.as_univariate("x")])
-        if not u.is_squarefree():
-            continue
-        markers = []
-        for iv in isolate_real_roots(u):
-            iv = refine_interval(u, iv, Fraction(1, 10 ** 6))
-            x_hat = float(iv.midpoint())
-            y_c = _fiber_root(fs, gs, x_hat)
-            if y_c is None:
-                continue
-            # fs(X, y) = f(X + s y, y), so the original abscissa is X + s y
-            markers.append((x_hat + s * y_c, y_c))
-        return markers
-    raise DegenerateInstanceError("no usable shear for marker extraction")
+        # fs(X, y) = f(X + s y, y), so the original abscissa is X + s y
+        markers.append((x_hat + s * y_c, y_c))
+    return markers
 
 
 def _fiber_root(fs: Polynomial, gs: Polynomial, x0: float):

@@ -1,12 +1,27 @@
-"""Univariate polynomials over the rationals: Sturm counts and root isolation.
+"""Univariate polynomials over the rationals: real-root counts and isolation.
 
-Everything is exact.  Sturm chains are computed as primitive integer
-sequences via sign-corrected pseudo-remainders, so coefficient growth stays
-polynomial instead of exponential, and signs at rational points are taken in
-integers.  Intervals returned by the isolator are pairwise disjoint and each
-contains exactly one distinct real root; exact rational roots come back as
-degenerate [r, r] intervals.  A polynomial keeps its squarefree part once
-computed, so isolation, refinement and Sturm counts share one gcd.
+Everything is exact.  A polynomial keeps its squarefree part once computed,
+so every count, isolation and refinement of it shares one gcd.
+
+* Squarefree test.  `is_squarefree` first reduces the primitive integer
+  polynomial modulo the first prime of CERTIFICATE_PRIMES that does not
+  divide its leading coefficient and runs Euclid in F_p[x] with the
+  derivative.  A unit gcd proves squarefreeness over Q (a repeated factor
+  keeps its degree mod p, see below), and the primitive polynomial is kept as
+  its own squarefree part; any other outcome falls back to the exact
+  primitive-PRS gcd, so a "no" is always decided exactly.
+* Counting.  `count_real_roots` runs Descartes-rule bisection
+  (Collins-Akritas) on the squarefree part in integer arithmetic alone:
+  x = 0 is taken apart, each half-line is mapped into (0, 1) by a
+  power-of-two root bound, and subintervals are split with
+  2^n q(x / 2) and Taylor shifts by 1.
+* Sturm.  `sturm_count` counts roots in a half-open interval (a, b] from a
+  primitive integer Sturm chain built with sign-corrected pseudo-remainders;
+  it is the reference the Descartes counter is tested against, and
+  isolation and refinement bisect with it.  Signs at rational points are
+  taken in integers.  Intervals returned by the isolator are pairwise
+  disjoint and each contains exactly one distinct real root; exact rational
+  roots come back as degenerate [r, r] intervals.
 
 The integer-list kernels `dmul` and `ddiv_exact` switch on operand length
 alone: below KRONECKER_MIN terms they run the schoolbook loops; from there on
@@ -296,6 +311,39 @@ def _kdiv_exact(a, b):
     return None
 
 
+# -- squarefree certificate modulo a prime ---------------------------------------
+#
+# If p does not divide lc(f), a repeated factor of f survives reduction mod p:
+# f = g^2 h over Z (Gauss) gives lc(g) prime to p, so g mod p keeps its degree
+# and squares into f mod p.  Hence gcd(f mod p, f' mod p) = 1 proves f
+# squarefree over Q.  The converse fails for finitely many p, so a nontrivial
+# gcd decides nothing and the exact gcd is left to answer.
+
+CERTIFICATE_PRIMES = (2 ** 63 - 25, 2 ** 63 - 165, 2 ** 62 - 57, 2 ** 62 - 87, 2 ** 61 - 1)
+
+
+def _squarefree_mod_p(ints) -> bool:
+    """Whether ints is certified squarefree over Q modulo the first prime of
+    CERTIFICATE_PRIMES not dividing its leading coefficient; False decides nothing.
+    """
+    p = next((q for q in CERTIFICATE_PRIMES if ints[-1] % q), None)
+    if p is None:
+        return False
+    a = [c % p for c in ints]
+    b = dstrip([k * c % p for k, c in enumerate(a)][1:])
+    while b:  # Euclid in F_p[x]; a ends as the gcd
+        inv = pow(b[-1], -1, p)
+        db = len(b) - 1
+        while len(a) > db:
+            q = a.pop() * inv % p
+            shift = len(a) - db
+            for i in range(db):
+                a[shift + i] = (a[shift + i] - q * b[i]) % p
+            dstrip(a)
+        a, b = b, a
+    return len(a) == 1
+
+
 # -- the univariate polynomial wrapper ------------------------------------------
 
 
@@ -432,6 +480,18 @@ class UnivariatePolynomial:
         return self._sf
 
     def is_squarefree(self) -> bool:
+        """Whether the polynomial has no repeated factor.
+
+        A squarefree reduction modulo a prime certifies "yes" at once and
+        keeps the primitive polynomial as its own squarefree part; any other
+        case is decided by the exact gcd of squarefree_part().
+        """
+        if self._sf is None:
+            ints = self.int_primitive()
+            if ints and _squarefree_mod_p(ints):
+                sf = UnivariatePolynomial.from_int_list(ints)
+                sf._sf = sf
+                self._sf = sf
         return _squarefree(self).degree() == self.degree()
 
 
@@ -526,8 +586,91 @@ def sturm_count(p: UnivariatePolynomial, interval) -> int:
     return va - vb + extra
 
 
+# -- Descartes counting ------------------------------------------------------------
+#
+# Collins-Akritas bisection in the form of Rouillier and Zimmermann: the roots
+# of a squarefree polynomial q in (0, 1) are the positive roots of
+# (x + 1)^n q(1 / (x + 1)), whose coefficient sign variations bound their
+# number and equal it when that bound is 0 or 1 (the one- and two-circle
+# theorems).  Otherwise (0, 1) is split at 1/2 through 2^n q(x / 2) and its
+# Taylor shift by 1, which needs integer additions and shifts only.
+
+
+def _taylor1(a):
+    """a(x + 1) by repeated synthetic addition: O(n^2) integer additions."""
+    a = list(a)
+    n = len(a) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def _halve(a):
+    """2^n a(x / 2), with the power of two common to all coefficients removed."""
+    n = len(a) - 1
+    out = [c << (n - i) for i, c in enumerate(a)]
+    v = min((c & -c).bit_length() for c in out if c) - 1
+    return [c >> v for c in out] if v else out
+
+
+def _root_bits(a) -> int:
+    """k with every complex root of a strictly below 2^k in absolute value.
+
+    Fujiwara: |z| <= 2 max_i |a_(n-i) / a_n|^(1/i); each term is below
+    2^ceil((bits(a_(n-i)) - bits(a_n) + 1) / i).
+    """
+    n = len(a) - 1
+    top = abs(a[-1]).bit_length() - 1
+    return 1 + max(-((top - abs(a[n - i]).bit_length()) // i)
+                   for i in range(1, n + 1) if a[n - i])
+
+
+def _unit_roots(q) -> int:
+    """Roots in (0, 1) of a squarefree integer polynomial with q(0), q(1) nonzero."""
+    count = 0
+    stack = [q]
+    while stack:
+        q = stack.pop()
+        v = _variations(_taylor1(q[::-1]))
+        if v < 2:
+            count += v
+            continue
+        left = _halve(q)
+        right = _taylor1(left)
+        if right[0] == 0:  # q(1/2) = 0: count it, divide it out of both halves
+            count += 1
+            right = right[1:]
+            left = ddiv_exact(left, [-1, 1])
+        stack.extend((left, right))
+    return count
+
+
+def _positive_roots(a) -> int:
+    """Roots in (0, inf) of a squarefree integer polynomial with a(0) != 0."""
+    v = _variations(a)
+    if v < 2:
+        return v
+    k = max(_root_bits(a), 0)  # every root lies in (0, 2^k): map it onto (0, 1)
+    return _unit_roots([c << (k * i) for i, c in enumerate(a)])
+
+
+def _descartes_count(ints) -> int:
+    """Distinct real roots of a squarefree integer polynomial (ascending list)."""
+    zero = 0
+    if ints and ints[0] == 0:
+        zero, ints = 1, ints[1:]
+    if len(ints) <= 1:
+        return zero
+    mirrored = [-c if i % 2 else c for i, c in enumerate(ints)]
+    return zero + _positive_roots(ints) + _positive_roots(mirrored)
+
+
 def count_real_roots(p: UnivariatePolynomial) -> int:
-    return sturm_count(p, (None, None))
+    """Number of distinct real roots, by Descartes bisection on the squarefree part."""
+    if p.is_zero():
+        raise DomainError("identically zero polynomial")
+    return _descartes_count(_squarefree(p).coeffs)
 
 
 # -- isolation --------------------------------------------------------------------

@@ -195,3 +195,22 @@ def test_eliminate_raises_on_shared_component():
     system = type(bad)(bad.points, bad.coloring, bad.omega, bad.kappa, (f0, f1, f1), 1)
     with pytest.raises(EliminationError):
         eliminate_to_t(system)
+
+
+def test_refinement_keeps_roots_of_secondary_route_contents():
+    # f1 = f2 exactly at t = 2, where the system has the real solutions
+    # (1, 1) and (4, -2); every other route divides Res_x(f1, f2) = (t - 2) y,
+    # so that route's content carries the only solution t
+    V = ("t", "x", "y")
+    t, x, y = (Polynomial.variable(v, V) for v in V)
+    f0 = x + y - 2
+    f1 = x - y * y
+    f2 = x - y * y + (t - 2) * y
+    bad = meta_system(1, HeightFunction.zero(1))
+    system = type(bad)(bad.points, bad.coloring, bad.omega, bad.kappa, (f0, f1, f2), 1)
+    for refine in (0, 1, 2):
+        res = eliminate_to_t(system, refine=refine)
+        assert res.E == UnivariatePolynomial([-2, 1]), refine
+    cert = certify_no_real_solutions(system, refine=2)
+    assert not cert.certified
+    assert any(iv.lo <= 2 <= iv.hi for iv in cert.candidates)

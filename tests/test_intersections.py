@@ -6,6 +6,7 @@ from wronski.elimination import count_real_intersections
 from wronski.errors import DegenerateInstanceError, EliminationError
 from wronski.heights import HeightFunction
 from wronski.lattice import hexagon_example
+from wronski.plotting import exact_intersection_markers
 from wronski.polynomial import Polynomial
 from wronski.rng import Stream
 from wronski.systems import wronski_from_points, wronski_pair
@@ -39,22 +40,58 @@ def test_tangency_raises_degenerate():
         count_real_intersections(parabola, axis)
 
 
+FIGURE_CASES = [
+    (3, (Q("-3.14"), Q("-8.13"), Q("3.61")), (Q("11.13"), Q("-9.34"), Q("1.82")), Q("0.98"), 3),
+    (5, (Q("0.79"), Q("0.11"), Q("-0.72")), (Q("0.37"), Q("0.84"), Q("-0.97")), Q("0.6"), 5),
+    (4, (Q("0.99"), Q("2.98"), Q("1.95")), (Q("14.46"), Q("1.57"), Q("2.21")), Q("0.98"), 0),
+    (4, (Q("-10.46"), Q("-1.07"), Q("9.43")), (Q("12.62"), Q("9.97"), Q("-0.86")), Q("0.98"), 0),
+]
+
+# exact_intersection_markers on FIGURE_CASES, as computed before counting and
+# marking shared one shear search
+FIGURE_MARKERS = [
+    [(-0.9089293481371543, 0.8530089119960784), (-0.9971149280948408, -1.2419766339288092),
+     (1.3233964584734625, -1.132135325733271)],
+    [(116.8930748804105, 195.76036151852395), (2.2589627885895993, 51.50079179946004),
+     (0.5592636318619455, 3.2407459187744765), (7.584027344093685, 0.8367171431636982),
+     (115.36501054598064, 12.722163573556438)],
+    [],
+    [],
+]
+
+
+def _figure_pair(delta, c, cp, t):
+    return wronski_pair(delta, HeightFunction.rho(delta), c, cp, t).polys
+
+
 def test_figure_parameter_counts():
-    cases = [
-        (3, (Q("-3.14"), Q("-8.13"), Q("3.61")), (Q("11.13"), Q("-9.34"), Q("1.82")),
-         Q("0.98"), 3),
-        (5, (Q("0.79"), Q("0.11"), Q("-0.72")), (Q("0.37"), Q("0.84"), Q("-0.97")),
-         Q("0.6"), 5),
-        (4, (Q("0.99"), Q("2.98"), Q("1.95")), (Q("14.46"), Q("1.57"), Q("2.21")),
-         Q("0.98"), 0),
-        (4, (Q("-10.46"), Q("-1.07"), Q("9.43")), (Q("12.62"), Q("9.97"), Q("-0.86")),
-         Q("0.98"), 0),
-    ]
-    for delta, c, cp, t, expected in cases:
-        pair = wronski_pair(delta, HeightFunction.rho(delta), c, cp, t)
-        count, total = count_real_intersections(*pair.polys)
+    for delta, c, cp, t, expected in FIGURE_CASES:
+        count, total = count_real_intersections(*_figure_pair(delta, c, cp, t))
         assert count == expected
         assert total == delta * delta
+
+
+def test_figure_markers_pinned():
+    for (delta, c, cp, t, expected), pinned in zip(FIGURE_CASES, FIGURE_MARKERS):
+        markers = exact_intersection_markers(*_figure_pair(delta, c, cp, t))
+        assert len(markers) == expected
+        flat = [v for m in markers for v in m]
+        assert flat == pytest.approx([v for m in pinned for v in m], rel=1e-9, abs=1e-9)
+
+
+def test_curves_that_do_not_meet():
+    line = Polynomial(XY, {(0, 1): 1, (1, 0): 1})
+    shifted = Polynomial(XY, {(0, 1): 1, (1, 0): 1, (0, 0): 1})
+    assert count_real_intersections(line, shifted) == (0, 0)
+    with pytest.raises(DegenerateInstanceError):
+        exact_intersection_markers(line, shifted)
+
+
+def test_markers_on_a_shared_component_are_degenerate():
+    circle = Polynomial(XY, {(2, 0): 1, (0, 2): 1, (0, 0): -1})
+    doubled = circle * Polynomial(XY, {(1, 0): 1, (0, 1): 3, (0, 0): 7})
+    with pytest.raises(DegenerateInstanceError):
+        exact_intersection_markers(circle, doubled)
 
 
 def _random_c(stream):

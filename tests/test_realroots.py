@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from wronski.errors import DomainError
-from wronski.realroots import (UnivariatePolynomial, count_real_roots, isolate_real_roots,
+from wronski.realroots import (CERTIFICATE_PRIMES, UnivariatePolynomial, _squarefree_mod_p,
+                               count_real_roots, dmul, dstrip, isolate_real_roots,
                                min_positive_real_root, refine_interval, root_bound,
                                sturm_count)
 from wronski.rng import Stream
@@ -189,3 +190,99 @@ def test_sign_at_rationals_matches_fraction_evaluation():
         v = U(ints)(x)
         assert _sign_at(ints, x) == (v > 0) - (v < 0)
     assert _sign_at([-6, 1, 1], Fraction(2)) == 0 and _sign_at([], Fraction(1, 3)) == 0
+
+
+# -- Descartes counting and the modular squarefree certificate ----------------------
+
+BIG = 2 ** 500
+
+
+@pytest.mark.parametrize("roots, extra", [
+    ([0], []),
+    ([Fraction(3, 7)], []),
+    ([BIG], []),
+    ([0, Fraction(1, 2), Fraction(3, 4), Fraction(-5, 8)], []),
+    ([Fraction(1, 2), Fraction(3, 4), Fraction(-5, 8)], [[1, 0, 1]]),
+    ([1, 1 + Fraction(1, 2 ** 40), -3, -3 - Fraction(1, 2 ** 40)], []),
+    ([Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10 ** 30), 7], [[5, -4, 1]]),
+    ([BIG, -BIG + 1, Fraction(1, BIG), Fraction(-3, BIG)], [[BIG + 1, 3, BIG]]),
+    ([2, 2, 2, 5, 0, 0], []),
+    ([], [[1, 0, 1], [BIG, 1, BIG]]),
+])
+def test_descartes_count_on_planted_roots(roots, extra):
+    p = U.from_roots(roots)
+    for q in extra:
+        p = p * U(q)
+    assert count_real_roots(p) == sturm_count(p, (None, None)) == len(set(roots))
+
+
+def test_descartes_count_matches_sturm_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(st.lists(st.integers(-2 ** 80, 2 ** 80), min_size=1, max_size=13),
+               st.lists(st.integers(-2 ** 8, 2 ** 8), min_size=1, max_size=4))
+    def check(h, g):
+        for ints in (h, dmul(dmul(g, g), h)):  # the squarefree part comes first
+            p = U(ints)
+            if not p.is_zero():
+                assert count_real_roots(p) == sturm_count(p, (None, None))
+
+    check()
+
+
+def test_certificate_never_accepts_a_square_factor():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    nonconstant = st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=2, max_size=5).filter(
+        lambda a: len(dstrip(list(a))) >= 2)
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(nonconstant, st.lists(st.integers(-2 ** 100, 2 ** 100), min_size=1, max_size=9))
+    def check(g, h):
+        f = dmul(dmul(g, g), h)
+        if f:
+            assert not _squarefree_mod_p(U(f).int_primitive())
+            assert not U(f).is_squarefree()
+
+    check()
+
+
+def test_certificate_skips_primes_dividing_the_leading_coefficient():
+    p0, p1 = CERTIFICATE_PRIMES[:2]
+    # (p0 x + 1)^2 (x - 1) is x - 1 modulo p0, squarefree there
+    f = dmul(dmul([1, p0], [1, p0]), [-1, 1])
+    assert not _squarefree_mod_p(f) and not U(f).is_squarefree()
+    # and a leading coefficient divisible by every prime leaves it to the exact gcd
+    lc = 1
+    for q in CERTIFICATE_PRIMES:
+        lc *= q
+    f = [-1, 0, lc]
+    assert not _squarefree_mod_p(f) and U(f).is_squarefree()
+    g = [-1, 0, p0 * p1 + 1]
+    assert _squarefree_mod_p(g)
+
+
+def test_certificate_keeps_the_primitive_polynomial_as_squarefree_part():
+    p = U([Fraction(-3, 2), 0, Fraction(9, 4)])
+    assert p.is_squarefree()
+    assert p._sf.coeffs == [-2, 0, 3] and p.squarefree_part() is p._sf
+    assert p._sf.squarefree_part() is p._sf
+
+
+def test_counts_and_primes_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert all(sympy.isprime(q) and 61 <= q.bit_length() <= 63 for q in CERTIFICATE_PRIMES)
+    x = sympy.Symbol("x")
+    stream = Stream(0xDE5C)
+    for _ in range(60):
+        roots = [Fraction(stream.int_in(-40, 40), stream.int_in(1, 9))
+                 for _ in range(stream.int_in(0, 5))]
+        noise = [stream.int_in(-2 ** 30, 2 ** 30) for _ in range(stream.int_in(1, 7))]
+        p = U.from_roots(roots) * U(noise or [1])
+        if p.is_zero():
+            continue
+        ints = p.int_primitive()
+        poly = sympy.Poly(list(reversed(ints)), x)
+        assert count_real_roots(p) == len(poly.sqf_part().real_roots())
