@@ -100,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_fraction, required=True)
     p.add_argument("--c", type=_fraction_list, required=True, metavar="a,b,c")
     p.add_argument("--cprime", type=_fraction_list, required=True, metavar="d,e,f")
-    p.add_argument("--count", action="store_true", default=True)
     common(p)
 
     p = sub.add_parser("montecarlo", help="random hexagon pairs, exact counts")

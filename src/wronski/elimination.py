@@ -29,7 +29,7 @@ from .polynomial import Polynomial
 from .realroots import (IsolatingInterval, UnivariatePolynomial, count_real_roots, dcompress,
                         ddiv_exact, dexpand, dexponent_gcd, dgcd, dmul, dprimitive, dstrip,
                         isolate_real_roots, refine_interval)
-from .resultants import resultant
+from .resultants import resultant, resultant_factors
 from .rng import Stream, derive_seed
 from .systems import MetaSystem, boundary_subsystems
 
@@ -203,7 +203,7 @@ class EliminationResult:
         }
 
 
-def _compressed_squarefree(ints):
+def _compressed_squarefree(ints, deadline=None):
     """Squarefree part computed inside the exponent lattice of the input.
 
     With a nonzero constant term, P(t) = Q(t^g) is squarefree exactly when Q
@@ -211,14 +211,31 @@ def _compressed_squarefree(ints):
     compressed domain makes the gcd with the derivative g^2 times cheaper.
     """
     g = dexponent_gcd(ints)
-    sf = UnivariatePolynomial.from_int_list(dcompress(ints, g)).squarefree_part().int_primitive()
-    return dexpand(sf, g)
+    sf = UnivariatePolynomial.from_int_list(dcompress(ints, g)).squarefree_part(deadline)
+    return dexpand(sf.int_primitive(), g)
 
 
-def _compressed_gcd(a, b):
+def _compressed_gcd(a, b, deadline=None):
     """gcd of integer polynomials through their common exponent lattice."""
     g = dexponent_gcd(b, dexponent_gcd(a))
-    return dexpand(dgcd(dcompress(a, g), dcompress(b, g)), g)
+    return dexpand(dgcd(dcompress(a, g), dcompress(b, g), deadline), g)
+
+
+def _t_power(ints) -> int:
+    """The exponent of the largest power of t dividing a nonzero list."""
+    return next(i for i, c in enumerate(ints) if c)
+
+
+def _squarefree_operand(factors, extra=()):
+    """The product of the factors without exponents or powers of t.
+
+    Its squarefree part is that of prod c^e, t-powers stripped, for every
+    exponent e >= 1, at a fraction of the degree.
+    """
+    out = [1]
+    for c in [c for c, _ in factors] + list(extra):
+        out = dmul(out, c[_t_power(c):])
+    return out
 
 
 def _elim_step(f: Polynomial, g: Polynomial, var: str, deadline=None) -> Polynomial:
@@ -233,8 +250,9 @@ def _elim_step(f: Polynomial, g: Polynomial, var: str, deadline=None) -> Polynom
 def _one_route(fs, pivot: int, shear, deadline):
     """Run the x-then-y projection for one pivot/coordinate choice.
 
-    Returns (E_raw offsets...) or None when the route degenerates (zero
-    resultant at either stage).
+    Returns (factors, projections, raw_extra), with the route's raw projection
+    the product of c^e over the primitive integer t-lists (c, e) of factors,
+    or None when the route degenerates (zero resultant at either stage).
     """
     f0 = fs[pivot]
     g1, g2 = (fs[k] for k in range(3) if k != pivot)
@@ -266,17 +284,17 @@ def _one_route(fs, pivot: int, shear, deadline):
         + d1 * (pr2.t_power + max(pr2.content.degree(), 0))
     if d1 == 0 and d2 == 0:
         e1, e2 = _as_t_poly(P1).int_primitive(), _as_t_poly(P2).int_primitive()
-        E_raw = UnivariatePolynomial.from_int_list(dgcd(e1, e2))
+        factors = [(dgcd(e1, e2), 1)]
     elif d1 == 0:
-        E_raw = _as_t_poly(P1)
+        factors = [(_as_t_poly(P1).int_primitive(), 1)]
     elif d2 == 0:
-        E_raw = _as_t_poly(P2)
+        factors = [(_as_t_poly(P2).int_primitive(), 1)]
     else:
-        E_poly = _elim_step(P1, P2, "y", deadline)
-        if E_poly.is_zero():
+        factors = [(_as_t_poly(c.drop_unused()).int_primitive(), e)
+                   for c, e in resultant_factors(P1, P2, "y", deadline)]
+        if not all(c for c, _ in factors):
             return None
-        E_raw = _as_t_poly(E_poly.drop_unused())
-    return E_raw, tuple(projections), raw_extra
+    return factors, tuple(projections), raw_extra
 
 
 def eliminate_to_t(system: MetaSystem, refine: int = 0, seed: int = 0,
@@ -302,7 +320,7 @@ def eliminate_to_t(system: MetaSystem, refine: int = 0, seed: int = 0,
     if primary is None:
         raise EliminationError("extraneous component suspected: all projections vanished")
 
-    pivot, shear, (E_raw, projections, raw_extra) = primary
+    pivot, shear, (factors, projections, raw_extra) = primary
     extra_results = []
     if refine > 0:
         extra_routes = [(1, (0, 0)), (2, (0, 0))] + [(0, tr) for tr in transforms if tr != shear]
@@ -311,30 +329,18 @@ def eliminate_to_t(system: MetaSystem, refine: int = 0, seed: int = 0,
             if out is not None:
                 extra_results.append(out)
 
-    ints = E_raw.int_primitive()
-    degree_raw = (len(ints) - 1 if ints else -1) + raw_extra
-    k3 = 0
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-        k3 += 1
-    sf = _compressed_squarefree(ints) if ints else []
+    # the primary route's raw projection is prod c^e: degrees and powers of t add
+    degree_raw = sum(e * (len(c) - 1) for c, e in factors) + raw_extra
+    k3 = sum(e * _t_power(c) for c, e in factors)
+    sf = _compressed_squarefree(_squarefree_operand(factors), deadline)
     refined_degrees = []
-    for E2_raw, extra_projections, _ in extra_results:
+    for extra_factors, extra_projections, _ in extra_results:
         # a solution's t may be a root of this route's stripped contents only
-        other = E2_raw.int_primitive()
-        for pr in extra_projections:
-            if pr.content.degree() > 0:
-                other = dmul(other, pr.content.coeffs)
-        while other and other[0] == 0:
-            other = other[1:]
-        if other:
-            other_sf = _compressed_squarefree(other)
-            refined_degrees.append(len(other_sf) - 1)
-            sf = _compressed_gcd(sf, other_sf) if sf else other_sf
-    E = UnivariatePolynomial.from_int_list(sf) if sf else UnivariatePolynomial.zero()
-    if E.is_zero():
-        raise EliminationError("extraneous component suspected: zero projection")
-
+        contents = [pr.content.coeffs for pr in extra_projections if pr.content.degree() > 0]
+        other_sf = _compressed_squarefree(_squarefree_operand(extra_factors, contents), deadline)
+        refined_degrees.append(len(other_sf) - 1)
+        sf = _compressed_gcd(sf, other_sf, deadline)
+    E = UnivariatePolynomial.from_int_list(sf)
     contents = [pr.content for pr in projections if pr.content.degree() > 0]
     t_power_removed = k3 + sum(pr.t_power for pr in projections)
     return EliminationResult(

@@ -26,10 +26,6 @@ def norm_coeff(c):
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 
 
-def coeff_str(c) -> str:
-    return str(c)
-
-
 def _grlex_key(exps):
     return (sum(exps), exps)
 
@@ -394,11 +390,11 @@ class Polynomial:
                 for v, k in zip(self.vars, e) if k > 0
             )
             if not mono:
-                parts.append(("+ " if c > 0 else "- ") + coeff_str(abs(c)))
+                parts.append(("+ " if c > 0 else "- ") + str(abs(c)))
             elif abs(c) == 1:
                 parts.append(("+ " if c > 0 else "- ") + mono)
             else:
-                parts.append(("+ " if c > 0 else "- ") + coeff_str(abs(c)) + "*" + mono)
+                parts.append(("+ " if c > 0 else "- ") + str(abs(c)) + "*" + mono)
         s = " ".join(parts)
         return s[2:] if s.startswith("+ ") else "-" + s[2:]
 
@@ -408,7 +404,7 @@ class Polynomial:
     def to_json(self):
         return {
             "vars": list(self.vars),
-            "terms": [[list(e), coeff_str(self.terms[e])] for e in sorted(self.terms)],
+            "terms": [[list(e), str(self.terms[e])] for e in sorted(self.terms)],
         }
 
     @classmethod

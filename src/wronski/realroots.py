@@ -33,6 +33,7 @@ dividend exactly; an inexact division still raises ValueError.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -150,8 +151,12 @@ def dprem(a, b):
     return r
 
 
-def dgcd(a, b):
-    """Primitive positive gcd of integer polynomials (primitive PRS)."""
+def dgcd(a, b, deadline=None):
+    """Primitive positive gcd of integer polynomials (primitive PRS).
+
+    With a deadline (a time.monotonic() value), each remainder step first
+    checks it and raises TimeoutError once it has passed.
+    """
     a, b = dprimitive(a), dprimitive(b)
     if not a:
         g = list(b)
@@ -162,6 +167,8 @@ def dgcd(a, b):
             if len(b) - 1 == 0:
                 g = [1]
                 break
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeoutError("gcd computation exceeded its deadline")
             r = dprimitive(dprem(a, b))
             a, b = b, r
         else:
@@ -465,14 +472,17 @@ class UnivariatePolynomial:
                 terms.append(f"{c}*x^{k}" if c != 1 else f"x^{k}")
         return "UnivariatePolynomial(" + " + ".join(terms) + ")"
 
-    def squarefree_part(self) -> "UnivariatePolynomial":
-        """Primitive squarefree part, positive leading coefficient; kept once computed."""
+    def squarefree_part(self, deadline=None) -> "UnivariatePolynomial":
+        """Primitive squarefree part, positive leading coefficient; kept once computed.
+
+        The gcd with the derivative raises TimeoutError past the deadline.
+        """
         if self._sf is None:
             ints = self.int_primitive()
             if len(ints) <= 1:
                 sf = UnivariatePolynomial.from_int_list(ints and [1])
             else:
-                g = dgcd(ints, dstrip([k * c for k, c in enumerate(ints)][1:]))
+                g = dgcd(ints, dstrip([k * c for k, c in enumerate(ints)][1:]), deadline)
                 sf = UnivariatePolynomial.from_int_list(
                     dprimitive(ints if len(g) == 1 else ddiv_exact(ints, g)))
             sf._sf = sf
@@ -730,13 +740,16 @@ def isolate_real_roots(p: UnivariatePolynomial):
         breaks = sorted(set([-bound, Fraction(0), bound] + found_points))
         breaks = [x for x in breaks if -bound <= x <= bound]
         chain = sturm_chain(q.int_primitive())
-        var_at = {x: _variations_at(chain, x) for x in breaks}
-        stack = [(breaks[i], breaks[i + 1], var_at[breaks[i]] - var_at[breaks[i + 1]])
+        # each entry carries the sign variations at both ends: one new
+        # chain evaluation per split
+        var_at = [_variations_at(chain, x) for x in breaks]
+        stack = [(breaks[i], breaks[i + 1], var_at[i], var_at[i + 1])
                  for i in range(len(breaks) - 1)]
         restart = False
         pending = []
         while stack:
-            lo, hi, cnt = stack.pop()
+            lo, hi, vlo, vhi = stack.pop()
+            cnt = vlo - vhi
             if cnt <= 0:
                 continue
             if cnt == 1:
@@ -749,10 +762,8 @@ def isolate_real_roots(p: UnivariatePolynomial):
                 restart = True
                 break
             vm = _variations_at(chain, mid)
-            vlo = _variations_at(chain, lo)
-            vhi = _variations_at(chain, hi)
-            stack.append((lo, mid, vlo - vm))
-            stack.append((mid, hi, vm - vhi))
+            stack.append((lo, mid, vlo, vm))
+            stack.append((mid, hi, vm, vhi))
         if restart:
             continue
         intervals = pending

@@ -2,16 +2,16 @@ from fractions import Fraction as Q
 
 import pytest
 
-from wronski.elimination import (boundary_check, certify_elimination,
-                                 certify_no_real_solutions, count_real_intersections,
-                                 eliminate_to_t)
+from wronski.elimination import (_compressed_gcd, _compressed_squarefree, boundary_check,
+                                 certify_elimination, certify_no_real_solutions,
+                                 count_real_intersections, eliminate_to_t)
 from wronski.errors import EliminationError
 from wronski.heights import HeightFunction, minimal_height
 from wronski.lattice import hexagon_example
 from wronski.polynomial import Polynomial
-from wronski.realroots import (UnivariatePolynomial, count_real_roots, ddiv_exact, dgcd,
+from wronski.realroots import (UnivariatePolynomial, count_real_roots, ddiv_exact, dgcd, dmul,
                                sturm_count)
-from wronski.resultants import resultant
+from wronski.resultants import resultant, resultant_factors
 from wronski.rng import Stream
 from wronski.systems import meta_system, meta_system_from_points
 
@@ -169,6 +169,40 @@ def test_eliminate_honors_deadline():
     system = meta_system(5, HeightFunction.rho(5))
     with pytest.raises(TimeoutError):
         eliminate_to_t(system, deadline=time.monotonic() - 1)
+
+
+def test_squarefree_and_gcd_passes_honor_deadline():
+    import time
+
+    past = time.monotonic() - 1
+    a = dmul([-1, 0, 0, 1], [2, 0, 0, 1])  # (t^3 - 1)(t^3 + 2), in the lattice 3
+    b = dmul(a, a)
+    with pytest.raises(TimeoutError):
+        dgcd(a, dmul(a, [1, 1]), deadline=past)
+    with pytest.raises(TimeoutError):
+        UnivariatePolynomial.from_int_list(b).squarefree_part(deadline=past)
+    with pytest.raises(TimeoutError):
+        _compressed_squarefree(b, past)
+    with pytest.raises(TimeoutError):
+        _compressed_gcd(b, dmul(a, [3, 0, 0, 1]), past)
+    assert _compressed_squarefree(b) == a and _compressed_gcd(b, a) == a
+
+
+def test_eliminate_passes_its_deadline_to_the_squarefree_pass(monkeypatch):
+    # the clock runs out right after the outer resultant, so only the
+    # squarefree pass that follows can notice it
+    import time
+
+    from wronski import elimination
+
+    def factors_then_expire(*args):
+        out = resultant_factors(*args)
+        monkeypatch.setattr(time, "monotonic", lambda: float("inf"))
+        return out
+
+    monkeypatch.setattr(elimination, "resultant_factors", factors_then_expire)
+    with pytest.raises(TimeoutError, match="gcd"):
+        eliminate_to_t(meta_system(3, HeightFunction.rho(3)), deadline=time.monotonic() + 600)
 
 
 def test_minimal_height_elimination_is_sound_superset():

@@ -1,4 +1,5 @@
 import json
+import zlib
 from fractions import Fraction as Q
 
 import pytest
@@ -86,6 +87,16 @@ def test_meta_report_delta3():
     assert r["min_positive_root"] is None
     strata = {b["stratum"]: b["status"] for b in r["boundary"]}
     assert strata["x=y=0"] == "infeasible"
+
+
+@pytest.mark.parametrize("delta, height, crc", [
+    (3, "rho", 3247939955), (3, "min", 4179280097),
+    (4, "rho", 2194189387), (4, "min", 2421188072),
+])
+def test_meta_report_payload_pinned(delta, height, crc):
+    # CRC32 of the sorted-key JSON payload, frozen from an earlier exact run
+    payload = meta_report(delta, height, refine=2).payload_json()
+    assert zlib.crc32(json.dumps(payload, sort_keys=True).encode()) == crc
 
 
 def test_meta_report_even_delta_warns():

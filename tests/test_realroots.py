@@ -110,6 +110,28 @@ def test_isolation_rational_roots_found_exactly():
     assert vals == sorted(vals)
 
 
+def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
+    # twelve irrational roots, two of them 3.5e-5 apart: many splits and no
+    # exact root at a dyadic midpoint, so the Sturm chain is built once
+    from wronski import realroots
+
+    seen = []
+    evaluate = realroots._variations_at
+
+    def counted(chain, x):
+        seen.append(x)
+        return evaluate(chain, x)
+
+    monkeypatch.setattr(realroots, "_variations_at", counted)
+    p = U([1])
+    for n in (2, 3, 5, 7, 11):
+        p = p * U([-n, 0, 1])
+    p = p * U([-2 * 10 ** 4 - 1, 0, 10 ** 4])
+    ivs = isolate_real_roots(p)
+    assert len(ivs) == 12
+    assert len(seen) == len(set(seen)) > 12
+
+
 def test_refine_interval_width():
     p = U([-2, 0, 1])
     iv = isolate_real_roots(p)[1]

@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from wronski.errors import DomainError
 from wronski.polynomial import Polynomial
-from wronski.resultants import resultant, sylvester_matrix, sylvester_resultant
+from wronski.resultants import resultant, resultant_factors, sylvester_matrix, sylvester_resultant
 from wronski.rng import Stream
 
 XY = ("x", "y")
@@ -148,3 +149,85 @@ def test_resultant_multivariate_coefficients():
     s = sylvester_resultant(f, g, "y")
     assert r == s
     assert r.degree("y") == 0
+
+
+def _coset_input(rng, vars_, k, a, m, monomial=False):
+    """y^a Q(y^k) with deg Q = m and integer coefficients in the non-y variables.
+
+    Every coefficient of Q has a nonzero constant term, so the exponent gaps
+    have gcd exactly k when m >= 1; monomial=True keeps only y^(a + k m).
+    """
+    yi = vars_.index("y")
+    terms = {}
+    for j in ([m] if monomial else range(m + 1)):
+        for i, v in enumerate(vars_):
+            e = [0] * len(vars_)
+            e[yi] = a + k * j
+            if v != "y":
+                e[i] = 1
+            terms[tuple(e)] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return Polynomial(vars_, terms)
+
+
+def _low_y(p):
+    i = p.vars.index("y")
+    return min(e[i] for e in p.terms)
+
+
+@pytest.mark.parametrize("vars_", [("t", "y"), ("s", "t", "y")])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_coset_resultant_matches_sylvester(vars_, k):
+    # F = y^a Q1(y^k), G = y^b Q2(y^k) for every (a, b) in {0, 1, 2}^2, in both
+    # argument orders, with monomials and Q of z-degree 0; k = 1 falls through
+    rng = random.Random(1000 * k + len(vars_))
+    # (deg Q1, deg Q2, F a monomial), small enough for the determinant
+    shapes = [(1, 1, False), (0, 1, False), (1, 1, True)]
+    if k < 3:
+        shapes += [(2, 1, False), (0, 2, False)]
+    done = 0
+    for a in range(3):
+        for b in range(3):
+            for m1, m2, mono in shapes:
+                f = _coset_input(rng, vars_, k, a, m1, monomial=mono)
+                g = _coset_input(rng, vars_, k, b, m2)
+                if f.degree("y") < 1 or g.degree("y") < 1:
+                    continue
+                for p, q in ((f, g), (g, f)):
+                    expected = sylvester_resultant(p, q, "y")
+                    assert resultant(p, q, "y") == expected
+                    factors = resultant_factors(p, q, "y")
+                    product = Polynomial.const(1, expected.vars)
+                    for c, e in factors:
+                        product = product * c ** e
+                    assert product == expected
+                    if _low_y(p) and _low_y(q):  # y divides both
+                        assert expected.is_zero() and factors[-1][0].is_zero()
+                    else:  # the PRS factor comes last, with exponent k
+                        assert factors[-1][1] == k
+                    if k == 1:  # the content scale, if any, and one PRS factor
+                        assert [e for _, e in factors[:-1]] in ([], [1])
+                        assert all(c.is_constant() for c, _ in factors[:-1])
+                    done += 1
+    assert done >= 48
+
+
+@pytest.mark.parametrize("height", ["rho", "min"])
+def test_coset_resultant_matches_sympy_on_delta3_projections(height):
+    # the outer y-resultants of every pivot: one side has y-exponents in 3Z,
+    # the other in 3Z or 1 + 3Z
+    sympy = pytest.importorskip("sympy")
+    from wronski.harness import resolve_height
+    from wronski.systems import meta_system
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict(dict(p.terms), sympy.symbols(p.vars)).as_expr()
+
+    fs = meta_system(3, resolve_height(height, 3)).f
+    for pivot in range(3):
+        f0, g1, g2 = fs[pivot], *(fs[k] for k in range(3) if k != pivot)
+        P1, P2 = resultant(f0, g1, "x"), resultant(f0, g2, "x")
+        assert resultant_factors(P1, P2, "y")[-1][1] == 3
+        ours = resultant(P1, P2, "y")
+        assert not ours.is_zero()
+        expected = sympy.resultant(to_sympy(P1), to_sympy(P2), sympy.Symbol("y"))
+        assert sympy.expand(expected - to_sympy(ours)) == 0
