@@ -154,16 +154,19 @@ class EliminationResult:
     refined_degrees: tuple = ()
 
     def real_root_candidates(self, lo=None, hi=None, include_zero=True,
-                             refine_width=None):
-        """Isolating intervals of every certified-candidate real t in (lo, hi]."""
+                             refine_width=None, deadline=None):
+        """Isolating intervals of every certified-candidate real t in (lo, hi].
+
+        Isolation and refinement raise TimeoutError past the deadline.
+        """
         own = []
         sources = [self.E] + [c for c in self.content_factors if c.degree() > 0]
         for src in sources:
             if src.degree() <= 0:
                 continue
-            for iv in isolate_real_roots(src):
+            for iv in isolate_real_roots(src, deadline):
                 if refine_width is not None:
-                    iv = refine_interval(src, iv, Fraction(refine_width))
+                    iv = refine_interval(src, iv, Fraction(refine_width), deadline)
                 own.append(iv)
         if self.t_power_removed and include_zero:
             own.append(IsolatingInterval(Fraction(0), Fraction(0)))
@@ -379,14 +382,15 @@ def certify_no_real_solutions(system: MetaSystem, t_upper=None, refine: int = 2,
     criteria holds.
     """
     result = eliminate_to_t(system, refine=refine, seed=seed, deadline=deadline)
-    return certify_elimination(result, t_upper)
+    return certify_elimination(result, t_upper, deadline)
 
 
-def certify_elimination(result: EliminationResult, t_upper=None) -> Certificate:
+def certify_elimination(result: EliminationResult, t_upper=None, deadline=None) -> Certificate:
     """The certificate of certify_no_real_solutions for an elimination already done."""
     lo = Fraction(0) if t_upper is not None else None
     hi = Fraction(t_upper) if t_upper is not None else None
-    candidates = [iv for iv in result.real_root_candidates(lo=lo, hi=hi, include_zero=False)
+    candidates = [iv for iv in result.real_root_candidates(lo=lo, hi=hi, include_zero=False,
+                                                           deadline=deadline)
                   if not (iv.is_point and iv.lo == 0)]
     if t_upper is not None:
         candidates = [iv for iv in candidates if iv.lo < hi and (iv.hi > 0 or iv.is_point and iv.lo > 0)]
@@ -395,7 +399,8 @@ def certify_elimination(result: EliminationResult, t_upper=None) -> Certificate:
         return Certificate(True, "eliminant", f"no real candidate roots with {scope}")
     for pr in result.projections:
         if pr.t_free_no_real_zeros():
-            bad_content = pr.content.degree() > 0 and _content_has_roots(pr.content, lo, hi)
+            bad_content = (pr.content.degree() > 0
+                           and _content_has_roots(pr.content, lo, hi, deadline))
             if not bad_content:
                 return Certificate(
                     True, "projection-factor",
@@ -406,10 +411,10 @@ def certify_elimination(result: EliminationResult, t_upper=None) -> Certificate:
                        tuple(candidates))
 
 
-def _content_has_roots(content: UnivariatePolynomial, lo, hi) -> bool:
+def _content_has_roots(content: UnivariatePolynomial, lo, hi, deadline) -> bool:
     if content.degree() <= 0:
         return False
-    roots = isolate_real_roots(content)
+    roots = isolate_real_roots(content, deadline)
     for iv in roots:
         if iv.is_point and iv.lo == 0:
             continue

@@ -221,15 +221,17 @@ def meta_report(delta: int, height, refine: int = 2, seed: int = 0,
         warning = "delta is even: the orientability hypothesis fails"
     result = eliminate_to_t(system, refine=refine, seed=seed, deadline=deadline)
     lo, hi = Fraction(scan[0]), Fraction(scan[1])
-    in_window = result.real_root_candidates(lo=lo, hi=hi, include_zero=False)
+    in_window = result.real_root_candidates(lo=lo, hi=hi, include_zero=False,
+                                            deadline=deadline)
     all_nonzero = result.real_root_candidates(include_zero=False,
-                                              refine_width=Fraction(1, 10000))
+                                              refine_width=Fraction(1, 10000),
+                                              deadline=deadline)
     min_pos = None
     pos = [iv for iv in all_nonzero
            if (iv.is_point and iv.lo > 0) or (not iv.is_point and iv.lo >= 0)]
     if pos:
         min_pos = pos[0]
-    cert = certify_elimination(result)
+    cert = certify_elimination(result, deadline=deadline)
     boundary = [
         {"stratum": rep.label, "status": rep.status, "colors": list(rep.colors_present),
          "t_candidates": [iv.to_json() for iv in rep.t_candidates], "detail": rep.detail}

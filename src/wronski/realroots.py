@@ -1,15 +1,24 @@
-"""Univariate polynomials over the rationals: real-root counts and isolation.
+"""Univariate polynomials over the rationals: gcds, real-root counts and isolation.
 
-Everything is exact.  A polynomial keeps its squarefree part once computed,
-so every count, isolation and refinement of it shares one gcd.
+Everything is exact.  A polynomial keeps its squarefree part and its
+isolating intervals once computed, so every count, isolation and refinement
+of it shares one gcd, and each polynomial is isolated once.
 
+* Gcd.  `dgcd` is the modular gcd (Brown 1971; Collins): Euclid in F_p[x]
+  for word-size primes p, images of least degree scaled to leading
+  coefficient gcd(lc a, lc b) and combined by the Chinese remainder theorem.
+  It is exact because nothing is returned before exact division over Z has
+  shown that the primitive candidate divides both operands; a candidate of
+  the least image degree that does is the gcd (see "gcds modulo primes"
+  below).  The primes are CERTIFICATE_PRIMES, then the primes below 2^61 - 1
+  in descending order, found on demand by deterministic Miller-Rabin;
+  nothing is computed at import.
 * Squarefree test.  `is_squarefree` first reduces the primitive integer
   polynomial modulo the first prime of CERTIFICATE_PRIMES that does not
-  divide its leading coefficient and runs Euclid in F_p[x] with the
-  derivative.  A unit gcd proves squarefreeness over Q (a repeated factor
-  keeps its degree mod p, see below), and the primitive polynomial is kept as
-  its own squarefree part; any other outcome falls back to the exact
-  primitive-PRS gcd, so a "no" is always decided exactly.
+  divide its leading coefficient and runs the same Euclid in F_p[x] with the
+  derivative.  A unit gcd proves squarefreeness over Q, and the primitive
+  polynomial is kept as its own squarefree part; any other outcome falls
+  back to the exact gcd, so a "no" is always decided exactly.
 * Counting.  `count_real_roots` runs Descartes-rule bisection
   (Collins-Akritas) on the squarefree part in integer arithmetic alone:
   x = 0 is taken apart, each half-line is mapped into (0, 1) by a
@@ -18,10 +27,14 @@ so every count, isolation and refinement of it shares one gcd.
 * Sturm.  `sturm_count` counts roots in a half-open interval (a, b] from a
   primitive integer Sturm chain built with sign-corrected pseudo-remainders;
   it is the reference the Descartes counter is tested against, and
-  isolation and refinement bisect with it.  Signs at rational points are
-  taken in integers.  Intervals returned by the isolator are pairwise
-  disjoint and each contains exactly one distinct real root; exact rational
-  roots come back as degenerate [r, r] intervals.
+  isolation and refinement bisect with it.  Signs at rational points n/d
+  are taken in integers, from d^deg q(n/d) for the primitive squarefree
+  part q (positive leading coefficient), and an exact rational root is
+  divided out as the integer factor d x - n.  Intervals returned by the
+  isolator are pairwise disjoint and each contains exactly one distinct
+  real root; exact rational roots come back as degenerate [r, r] intervals.
+  Isolation and refinement take an optional deadline, checked on each
+  bisection step.
 
 The integer-list kernels `dmul` and `ddiv_exact` switch on operand length
 alone: below KRONECKER_MIN terms they run the schoolbook loops; from there on
@@ -149,33 +162,6 @@ def dprem(a, b):
     if steps > 0:
         r = dscale(r, lb ** steps)
     return r
-
-
-def dgcd(a, b, deadline=None):
-    """Primitive positive gcd of integer polynomials (primitive PRS).
-
-    With a deadline (a time.monotonic() value), each remainder step first
-    checks it and raises TimeoutError once it has passed.
-    """
-    a, b = dprimitive(a), dprimitive(b)
-    if not a:
-        g = list(b)
-    elif not b:
-        g = list(a)
-    else:
-        while b:
-            if len(b) - 1 == 0:
-                g = [1]
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError("gcd computation exceeded its deadline")
-            r = dprimitive(dprem(a, b))
-            a, b = b, r
-        else:
-            g = a
-    if g and g[-1] < 0:
-        g = dneg(g)
-    return g
 
 
 def dexponent_gcd(a, g: int = 0) -> int:
@@ -318,15 +304,84 @@ def _kdiv_exact(a, b):
     return None
 
 
-# -- squarefree certificate modulo a prime ---------------------------------------
+# -- gcds modulo primes -------------------------------------------------------------
 #
-# If p does not divide lc(f), a repeated factor of f survives reduction mod p:
-# f = g^2 h over Z (Gauss) gives lc(g) prime to p, so g mod p keeps its degree
-# and squares into f mod p.  Hence gcd(f mod p, f' mod p) = 1 proves f
-# squarefree over Q.  The converse fails for finitely many p, so a nontrivial
-# gcd decides nothing and the exact gcd is left to answer.
+# If p does not divide lc(a), reduction mod p maps every common factor g of a
+# and b over Z onto a common factor of a mod p and b mod p of the same degree
+# (lc(g) divides lc(a), so p does not divide it).  Hence the gcd in F_p[x] has
+# degree at least deg gcd(a, b), with equality for all but finitely many p.
+#
+# * Squarefree certificate.  With b = a', a repeated factor h^2 of a would put
+#   h mod p into the gcd, so a unit gcd modulo p proves a squarefree over Q.
+#   Any other outcome decides nothing.
+# * Modular gcd (Brown 1971; Collins).  The images of least degree, each
+#   scaled to leading coefficient gcd(lc a, lc b), are combined by the Chinese
+#   remainder theorem into symmetric residues; an image of higher degree comes
+#   from an unlucky prime and is dropped, one of lower degree restarts the
+#   combination.  After each prime the primitive candidate G is tried: G is
+#   returned only when it divides both a and b exactly over Z.  Then G divides
+#   gcd(a, b), and deg G = deg gcd_p >= deg gcd(a, b) (its leading residue is
+#   gcd(lc a, lc b), a unit mod each p used), so G is the gcd.  No bound on
+#   coefficients is used: a wrong candidate is simply not accepted, and once
+#   the primes are lucky and their product exceeds twice the scaled gcd's
+#   coefficients the candidate is right, so the loop ends.
 
 CERTIFICATE_PRIMES = (2 ** 63 - 25, 2 ** 63 - 165, 2 ** 62 - 57, 2 ** 62 - 87, 2 ** 61 - 1)
+
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the prime bases 2..37, deterministic for n < 3.18 * 10^23."""
+    if n < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for q in _MILLER_RABIN_BASES:
+        x = pow(q, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """CERTIFICATE_PRIMES, then the primes below 2^61 - 1 in descending order."""
+    yield from CERTIFICATE_PRIMES
+    n = 2 ** 61 - 3
+    while True:
+        if _is_prime(n):
+            yield n
+        n -= 2
+
+
+def _gcd_mod_p(a, b, p: int):
+    """A gcd in F_p[x] of two lists of residues mod p, ascending ([] for two zeros).
+
+    Euclid's algorithm; both lists are consumed.  Within one division the
+    dividend's coefficients are left unreduced and reduced once at its end.
+    """
+    dstrip(a)
+    dstrip(b)
+    while b:
+        inv = pow(b[-1], -1, p)
+        db = len(b) - 1
+        while len(a) > db:
+            q = a.pop() * inv % p
+            shift = len(a) - db
+            a[shift:] = [x - q * y for x, y in zip(a[shift:], b)]  # b's top term is spent
+        a, b = b, dstrip([c % p for c in a])
+    return a
 
 
 def _squarefree_mod_p(ints) -> bool:
@@ -337,18 +392,65 @@ def _squarefree_mod_p(ints) -> bool:
     if p is None:
         return False
     a = [c % p for c in ints]
-    b = dstrip([k * c % p for k, c in enumerate(a)][1:])
-    while b:  # Euclid in F_p[x]; a ends as the gcd
-        inv = pow(b[-1], -1, p)
-        db = len(b) - 1
-        while len(a) > db:
-            q = a.pop() * inv % p
-            shift = len(a) - db
-            for i in range(db):
-                a[shift + i] = (a[shift + i] - q * b[i]) % p
-            dstrip(a)
-        a, b = b, a
-    return len(a) == 1
+    return len(_gcd_mod_p(a, [k * c % p for k, c in enumerate(a)][1:], p)) == 1
+
+
+def _divides(g, a) -> bool:
+    """Whether g divides a over Z, by exact division.
+
+    The leading and lowest coefficients are tested first: a candidate that
+    fails there is rejected without a division.
+    """
+    k = next(i for i, c in enumerate(g) if c)
+    if a[-1] % g[-1] or any(a[:k]) or a[k] % g[k]:
+        return False
+    try:
+        ddiv_exact(a, g)
+    except ValueError:
+        return False
+    return True
+
+
+def dgcd(a, b, deadline=None):
+    """Primitive gcd of integer polynomials, positive leading coefficient.
+
+    The modular gcd described above: the result has been proved by exact
+    division.  The gcd with a zero polynomial is the other operand made
+    primitive, and a nonzero constant operand gives [1].  With a deadline
+    (a time.monotonic() value), it is checked before each prime and
+    TimeoutError raised once it has passed.
+    """
+    a, b = dstrip(dprimitive(a)), dstrip(dprimitive(b))
+    if not a or not b:
+        g = a or b
+        return dneg(g) if g and g[-1] < 0 else g
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    gamma = gcd(a[-1], b[-1])
+    m, h = 1, None  # the modulus and the symmetric residues of the kept images
+    for p in _primes():
+        _check_deadline(deadline, "gcd computation")
+        if a[-1] % p == 0:
+            continue
+        image = _gcd_mod_p([c % p for c in a], [c % p for c in b], p)
+        if len(image) == 1:
+            return [1]
+        if h is not None and len(image) > len(h):
+            continue
+        scale = gamma * pow(image[-1], -1, p) % p
+        image = [c * scale % p for c in image]
+        if h is None or len(image) < len(h):
+            m, h = p, [c - p if 2 * c > p else c for c in image]
+        else:
+            inv = pow(m % p, -1, p)
+            h = [x + m * ((y - x % p) * inv % p) for x, y in zip(h, image)]
+            m *= p
+            h = [x - m if 2 * x > m else x for x in h]
+        g = dprimitive(h)
+        if g[-1] < 0:
+            g = dneg(g)
+        if _divides(g, a) and _divides(g, b):
+            return g
 
 
 # -- the univariate polynomial wrapper ------------------------------------------
@@ -357,7 +459,7 @@ def _squarefree_mod_p(ints) -> bool:
 class UnivariatePolynomial:
     """Dense rational coefficients, ascending; the zero polynomial is allowed."""
 
-    __slots__ = ("coeffs", "_sf")
+    __slots__ = ("coeffs", "_sf", "_roots")
 
     def __init__(self, coeffs):
         cs = []
@@ -368,6 +470,7 @@ class UnivariatePolynomial:
             cs.pop()
         self.coeffs = [int(c) if isinstance(c, Fraction) and c.denominator == 1 else c for c in cs]
         self._sf = None  # the squarefree part, once computed
+        self._roots = None  # the isolating intervals, once computed
 
     # construction helpers
 
@@ -380,6 +483,7 @@ class UnivariatePolynomial:
         p = cls.__new__(cls)
         p.coeffs = dstrip(list(ints))
         p._sf = None
+        p._roots = None
         return p
 
     @classmethod
@@ -505,19 +609,32 @@ class UnivariatePolynomial:
         return _squarefree(self).degree() == self.degree()
 
 
-def _squarefree(p: UnivariatePolynomial) -> UnivariatePolynomial:
+def _squarefree(p: UnivariatePolynomial, deadline=None) -> UnivariatePolynomial:
     """p's squarefree part, reusing the one p already holds."""
-    return p._sf if p._sf is not None else p.squarefree_part()
+    return p._sf if p._sf is not None else p.squarefree_part(deadline)
 
 
-def _synth_div(p: UnivariatePolynomial, r: Fraction) -> UnivariatePolynomial:
-    out = []
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * r + c
-        out.append(acc)
-    assert out[-1] == 0, "not a root"
-    return UnivariatePolynomial(list(reversed(out[:-1])))
+def _drop_root(ints, x: Fraction):
+    """ints / (d t - n) for a rational root x = n / d of ints (d > 0): exact over Z.
+
+    The divisor is positive for t > x, so the quotient keeps the sign of
+    ints / (t - x) everywhere; when ints is primitive with a positive leading
+    coefficient, so is the quotient (Gauss).
+    """
+    return ddiv_exact(ints, [-x.numerator, x.denominator])
+
+
+def _drop_roots_at(ints, points):
+    """ints with each of the points that is a root of it divided out, in order."""
+    for x in points:
+        while len(ints) > 1 and _sign_at(ints, x) == 0:
+            ints = _drop_root(ints, x)
+    return ints
+
+
+def _check_deadline(deadline, what: str):
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError(f"{what} exceeded its deadline")
 
 
 # -- Sturm machinery -------------------------------------------------------------
@@ -580,17 +697,16 @@ def sturm_count(p: UnivariatePolynomial, interval) -> int:
     a, b = interval
     if a is not None and b is not None and Fraction(a) >= Fraction(b):
         raise DomainError("need a < b")
-    q = _squarefree(p)
+    q = _squarefree(p).coeffs
     extra = 0
-    if b is not None and q(b) == 0:
+    if b is not None and _sign_at(q, Fraction(b)) == 0:
         extra = 1
-        q = _synth_div(q, Fraction(b))
+        q = _drop_root(q, Fraction(b))
     if a is not None:
-        while not q.is_zero() and q(a) == 0:
-            q = _synth_div(q, Fraction(a))
-    if q.degree() <= 0:
+        q = _drop_roots_at(q, [Fraction(a)])
+    if len(q) <= 1:
         return extra
-    chain = sturm_chain(q.int_primitive())
+    chain = sturm_chain(q)
     va = _variations_at_inf(chain, False) if a is None else _variations_at(chain, Fraction(a))
     vb = _variations_at_inf(chain, True) if b is None else _variations_at(chain, Fraction(b))
     return va - vb + extra
@@ -715,31 +831,41 @@ def root_bound(p: UnivariatePolynomial) -> Fraction:
     return 1 + m / lc
 
 
-def isolate_real_roots(p: UnivariatePolynomial):
-    """Disjoint isolating intervals, one per distinct real root, sorted."""
+def isolate_real_roots(p: UnivariatePolynomial, deadline=None):
+    """Disjoint isolating intervals, one per distinct real root, sorted.
+
+    p keeps them once computed.  With a deadline (a time.monotonic() value),
+    each bisection step checks it and raises TimeoutError once it has passed.
+    """
     if p.is_zero():
         raise DomainError("identically zero polynomial")
-    sf = _squarefree(p)
+    if p._roots is None:
+        p._roots = tuple(_isolate(p, deadline))
+    return list(p._roots)
+
+
+def _isolate(p: UnivariatePolynomial, deadline):
+    sf = _squarefree(p, deadline)
     was_squarefree = sf.degree() == p.degree()
-    q = sf
-    if q.degree() <= 0:
+    q = sf.coeffs
+    if len(q) <= 1:
         return []
     found_points = []
     # peel off the easy exact root at 0 so we can always split there
-    while q(0) == 0:
+    while q[0] == 0:
         found_points.append(Fraction(0))
-        q = _synth_div(q, Fraction(0))
+        q = _drop_root(q, Fraction(0))
 
     intervals = []
     while True:
-        if q.degree() <= 0:
+        if len(q) <= 1:
             break
-        bound = root_bound(q)
-        while q(bound) == 0 or q(-bound) == 0:
+        bound = root_bound(UnivariatePolynomial.from_int_list(q))
+        while _sign_at(q, bound) == 0 or _sign_at(q, -bound) == 0:
             bound += 1
         breaks = sorted(set([-bound, Fraction(0), bound] + found_points))
         breaks = [x for x in breaks if -bound <= x <= bound]
-        chain = sturm_chain(q.int_primitive())
+        chain = sturm_chain(q)
         # each entry carries the sign variations at both ends: one new
         # chain evaluation per split
         var_at = [_variations_at(chain, x) for x in breaks]
@@ -748,6 +874,7 @@ def isolate_real_roots(p: UnivariatePolynomial):
         restart = False
         pending = []
         while stack:
+            _check_deadline(deadline, "root isolation")
             lo, hi, vlo, vhi = stack.pop()
             cnt = vlo - vhi
             if cnt <= 0:
@@ -756,9 +883,9 @@ def isolate_real_roots(p: UnivariatePolynomial):
                 pending.append((lo, hi))
                 continue
             mid = (lo + hi) / 2
-            if q(mid) == 0:
+            if _sign_at(q, mid) == 0:
                 found_points.append(mid)
-                q = _synth_div(q, mid)
+                q = _drop_root(q, mid)
                 restart = True
                 break
             vm = _variations_at(chain, mid)
@@ -770,31 +897,28 @@ def isolate_real_roots(p: UnivariatePolynomial):
         break
 
     out = [IsolatingInterval(r, r, was_squarefree) for r in found_points]
-    out.extend(_with_interior_endpoints(sf, lo, hi, was_squarefree)
+    out.extend(_with_interior_endpoints(sf.coeffs, lo, hi, was_squarefree, deadline)
                for lo, hi in intervals)
     out.sort(key=lambda iv: (iv.lo, iv.hi))
     return out
 
 
-def _with_interior_endpoints(sf: UnivariatePolynomial, lo, hi, flag) -> IsolatingInterval:
+def _with_interior_endpoints(sf, lo, hi, flag, deadline) -> IsolatingInterval:
     """Shrink (lo, hi) until no other root of sf sits on an endpoint.
 
     The bracketed root is strictly interior, so bisecting with the polynomial
     whose endpoint roots are divided out terminates with nonroot endpoints
     and the closed interval then contains exactly one root of sf.
     """
-    q = sf
-    while q.degree() > 0 and q(lo) == 0:
-        q = _synth_div(q, lo)
-    while q.degree() > 0 and q(hi) == 0:
-        q = _synth_div(q, hi)
-    slo = (q(lo) > 0) - (q(lo) < 0)
-    while sf(lo) == 0 or sf(hi) == 0:
+    q = _drop_roots_at(sf, (lo, hi))
+    slo = _sign_at(q, lo)
+    while _sign_at(sf, lo) == 0 or _sign_at(sf, hi) == 0:
+        _check_deadline(deadline, "root isolation")
         mid = (lo + hi) / 2
-        v = q(mid)
+        v = _sign_at(q, mid)
         if v == 0:
             return IsolatingInterval(mid, mid, flag)
-        if ((v > 0) - (v < 0)) == slo:
+        if v == slo:
             lo = mid
         else:
             hi = mid
@@ -802,27 +926,28 @@ def _with_interior_endpoints(sf: UnivariatePolynomial, lo, hi, flag) -> Isolatin
 
 
 def refine_interval(p: UnivariatePolynomial, interval: IsolatingInterval,
-                    width: Fraction) -> IsolatingInterval:
-    """Shrink an isolating interval below the requested width by bisection."""
+                    width: Fraction, deadline=None) -> IsolatingInterval:
+    """Shrink an isolating interval below the requested width by bisection.
+
+    With a deadline, each bisection step checks it and raises TimeoutError
+    once it has passed.
+    """
     if interval.is_point:
         return interval
-    q = _squarefree(p)
     lo, hi = interval.lo, interval.hi
     # other roots of p sitting exactly on an endpoint are divided out; the
     # bracketed root itself is strictly interior
-    while q.degree() > 0 and q(lo) == 0:
-        q = _synth_div(q, lo)
-    while q.degree() > 0 and q(hi) == 0:
-        q = _synth_div(q, hi)
-    slo = (q(lo) > 0) - (q(lo) < 0)
+    q = _drop_roots_at(_squarefree(p, deadline).coeffs, (lo, hi))
+    slo = _sign_at(q, lo)
     if slo == 0:
         raise DomainError("interval endpoint is a root; isolation broken")
     while hi - lo > width:
+        _check_deadline(deadline, "interval refinement")
         mid = (lo + hi) / 2
-        v = q(mid)
+        v = _sign_at(q, mid)
         if v == 0:
             return IsolatingInterval(mid, mid, interval.multiplicity_free)
-        if ((v > 0) - (v < 0)) == slo:
+        if v == slo:
             lo = mid
         else:
             hi = mid

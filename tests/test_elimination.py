@@ -205,6 +205,20 @@ def test_eliminate_passes_its_deadline_to_the_squarefree_pass(monkeypatch):
         eliminate_to_t(meta_system(3, HeightFunction.rho(3)), deadline=time.monotonic() + 600)
 
 
+def test_root_candidates_and_certificates_honor_deadline():
+    import time
+
+    from wronski.elimination import certify_elimination
+
+    result = eliminate_to_t(meta_system(3, HeightFunction.rho(3)))
+    past = time.monotonic() - 1
+    with pytest.raises(TimeoutError):
+        result.real_root_candidates(deadline=past)
+    with pytest.raises(TimeoutError):
+        certify_elimination(result, deadline=past)
+    assert len(result.real_root_candidates(refine_width=Q(1, 1000))) == 3  # t = 0 and two more
+
+
 def test_minimal_height_elimination_is_sound_superset():
     # refinement takes a gcd with further routes, so the refined E divides the
     # primary route's E exactly and every refined candidate is an unrefined one

@@ -99,6 +99,34 @@ def test_meta_report_payload_pinned(delta, height, crc):
     assert zlib.crc32(json.dumps(payload, sort_keys=True).encode()) == crc
 
 
+def test_meta_report_forwards_its_deadline_past_the_elimination(monkeypatch):
+    # the elimination ignores the deadline here, so only isolation can notice it
+    import time
+
+    from wronski import harness
+
+    eliminate = harness.eliminate_to_t
+    monkeypatch.setattr(harness, "eliminate_to_t",
+                        lambda system, refine, seed, deadline: eliminate(system, refine, seed))
+    with pytest.raises(TimeoutError):
+        meta_report(3, "rho", deadline=time.monotonic() - 1)
+
+
+def test_meta_report_isolates_each_polynomial_once(monkeypatch):
+    from wronski import realroots
+
+    seen = []
+    isolate = realroots._isolate
+
+    def counted(p, deadline):
+        seen.append(p)
+        return isolate(p, deadline)
+
+    monkeypatch.setattr(realroots, "_isolate", counted)
+    meta_report(3, "min", refine=0)
+    assert seen and len({id(p) for p in seen}) == len(seen)
+
+
 def test_meta_report_even_delta_warns():
     rec = meta_report(2, "rho")
     assert "warning" in rec.results[0]

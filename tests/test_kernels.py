@@ -1,13 +1,17 @@
-"""The packed Z[t] kernels against schoolbook references, and exponent-lattice
-compression of the integer resultant against the Sylvester determinant."""
+"""The packed Z[t] kernels against schoolbook references, the modular gcd
+against the primitive PRS, and exponent-lattice compression of the integer
+resultant against the Sylvester determinant."""
 
 import random
+import time
 
 import pytest
 
+from wronski import realroots
 from wronski.polynomial import Polynomial
-from wronski.realroots import (KRONECKER_MIN, _inverse_2adic, _kdiv_exact, dcompress,
-                               ddiv_exact, dexpand, dexponent_gcd, dmul, dstrip)
+from wronski.realroots import (CERTIFICATE_PRIMES, KRONECKER_MIN, _inverse_2adic, _is_prime,
+                               _kdiv_exact, _primes, dcompress, ddiv_exact, dexpand,
+                               dexponent_gcd, dgcd, dmul, dneg, dprem, dprimitive, dstrip)
 from wronski.resultants import resultant, sylvester_resultant
 
 SIZES = (1, 8, KRONECKER_MIN - 1, KRONECKER_MIN, KRONECKER_MIN + 1, 61, 130)
@@ -141,6 +145,151 @@ def test_division_undoes_multiplication_property():
         assert ddiv_exact(p, b) == a
 
     check()
+
+
+# -- the modular gcd -------------------------------------------------------------------
+
+
+def prs_gcd(a, b):
+    """Primitive gcd with positive leading coefficient by the primitive PRS."""
+    a, b = dprimitive(a), dprimitive(b)
+    if not a:
+        g = list(b)
+    elif not b:
+        g = list(a)
+    else:
+        while b:
+            if len(b) - 1 == 0:
+                g = [1]
+                break
+            a, b = b, dprimitive(dprem(a, b))
+        else:
+            g = a
+    if g and g[-1] < 0:
+        g = dneg(g)
+    return g
+
+
+def images(monkeypatch):
+    """The degrees of the gcd images dgcd computes, in order."""
+    seen = []
+    gcd_mod_p = realroots._gcd_mod_p
+
+    def recorded(a, b, p):
+        g = gcd_mod_p(a, b, p)
+        seen.append((p, len(g) - 1))
+        return g
+
+    monkeypatch.setattr(realroots, "_gcd_mod_p", recorded)
+    return seen
+
+
+def test_modular_gcd_matches_the_primitive_prs_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-(2 ** 90), 2 ** 90))
+    poly = st.lists(coeff, min_size=0, max_size=9)
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(poly, poly, poly)
+    def check(g, h1, h2):
+        g, h1, h2 = dstrip(g), dstrip(h1), dstrip(h2)
+        a, b = dmul(g, h1), dmul(g, h2)
+        for x, y in ((a, b), (b, a), (g, h1), (a, dmul(a, h2))):
+            assert dgcd(x, y) == prs_gcd(x, y)
+
+    check()
+
+
+def test_modular_gcd_and_squarefree_part_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(0x6CD)
+
+    def to_sympy(a):
+        return sympy.Poly(list(reversed(a)) or [0], x)
+
+    for _ in range(40):
+        g = rand_poly(rng, rng.randint(1, 6), rng.choice([3, 70]))
+        a = dmul(dmul(g, g), rand_poly(rng, rng.randint(1, 8), 20))
+        b = dmul(g, rand_poly(rng, rng.randint(1, 8), 200))
+        got = dgcd(a, b)
+        expected = to_sympy(a).gcd(to_sympy(b))
+        assert to_sympy(got) == expected.primitive()[1] * sympy.sign(expected.LC())
+        sf = realroots.UnivariatePolynomial.from_int_list(a).squarefree_part()
+        expected = to_sympy(a).sqf_part()
+        assert to_sympy(sf.coeffs) == expected.primitive()[1] * sympy.sign(expected.LC())
+
+
+def test_unlucky_primes_are_dropped(monkeypatch):
+    # (x + 2)(x + 1) and (x + 2)(x + 1 + p0 p1): modulo each of the first two
+    # primes the gcd is the whole quadratic; the third prime finds x + 2
+    p0, p1 = CERTIFICATE_PRIMES[:2]
+    a = dmul([2, 1], [1, 1])
+    b = dmul([2, 1], [1 + p0 * p1, 1])
+    seen = images(monkeypatch)
+    assert dgcd(a, b) == [2, 1]
+    assert seen[:3] == [(p0, 2), (p1, 2), (CERTIFICATE_PRIMES[2], 1)]
+
+
+def test_primes_dividing_the_leading_coefficient_are_skipped(monkeypatch):
+    p0, p1, p2 = CERTIFICATE_PRIMES[:3]
+    g = [-5, 3, 0, 7]
+    a = dmul([1, p0 * p1], g)
+    b = dmul([3, -1], g)
+    seen = images(monkeypatch)
+    assert dgcd(a, b) == g and [p for p, _ in seen] == [p2]
+    del seen[:]
+    assert dgcd(b, a) == g and [p for p, _ in seen] == [p0]
+
+
+def test_wide_coefficients_need_many_primes(monkeypatch):
+    rng = random.Random(500)
+    g = [rng.getrandbits(500) - 2 ** 499 for _ in range(6)] + [2 ** 500 + 1]
+    a = dmul(g, rand_poly(rng, 5, 500))
+    b = dmul(g, rand_poly(rng, 7, 30))
+    seen = images(monkeypatch)
+    assert dgcd(a, b) == prs_gcd(a, b) == dprimitive(g)
+    # the candidate is exact only once the moduli exceed twice its coefficients
+    assert len(seen) > len(CERTIFICATE_PRIMES) and all(d == 6 for _, d in seen)
+    assert len({p for p, _ in seen}) == len(seen)
+
+
+def test_modular_gcd_trivial_operands(monkeypatch):
+    assert dgcd([], []) == []
+    assert dgcd([], [-6, 0, -4]) == dgcd([-6, 0, -4], []) == [3, 0, 2]
+    assert dgcd([0, 0], [8]) == [1]
+    assert dgcd([12], [18]) == [1] and dgcd([4], [2, 6, 4]) == [1]
+    assert dgcd([1, 2, 1], [3, 3]) == [1, 1]
+    assert dgcd([0, -4, 0], [0, 0, 6, 0, 0]) == [0, 1]  # zero leading entries are dropped
+    seen = images(monkeypatch)
+    # a unit image proves the gcd trivial with no second prime
+    assert dgcd(dmul([1, 1], [5, 0, 1]), dmul([-1, 1], [7, 0, 1])) == [1]
+    assert len(seen) == 1
+
+
+def test_modular_gcd_checks_its_deadline_before_the_first_prime(monkeypatch):
+    seen = images(monkeypatch)
+    with pytest.raises(TimeoutError):
+        dgcd([-1, 1], [1, 1], deadline=time.monotonic() - 1)
+    assert seen == []
+
+
+def test_prime_supply_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    supply = _primes()
+    assert [next(supply) for _ in CERTIFICATE_PRIMES] == list(CERTIFICATE_PRIMES)
+    below = [next(supply) for _ in range(6)]
+    expected, n = [], CERTIFICATE_PRIMES[-1]
+    for _ in range(6):
+        n = sympy.prevprime(n)
+        expected.append(n)
+    assert below == expected
+    assert all(_is_prime(n) == sympy.isprime(n) for n in range(-2, 3000))
+    # strong pseudoprimes to the bases 2..7 and to 2..31
+    for n in (3215031751, 3825123056546413051):
+        assert not _is_prime(n) and not sympy.isprime(n)
+    assert _is_prime(2 ** 61 - 1) and _is_prime(2 ** 89 - 1)
 
 
 def test_exponent_lattice_helpers():

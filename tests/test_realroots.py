@@ -308,3 +308,57 @@ def test_counts_and_primes_match_sympy():
         ints = p.int_primitive()
         poly = sympy.Poly(list(reversed(ints)), x)
         assert count_real_roots(p) == len(poly.sqf_part().real_roots())
+
+
+# -- integer signs, kept intervals and deadlines in isolation ---------------------------
+
+
+def test_isolation_does_not_depend_on_scale_or_sign():
+    # signs are taken from an integer multiple of p by a positive number, so
+    # the intervals of p, -p and rational multiples of p must agree
+    p = U.from_roots([Fraction(1, 2), 0, -3, Fraction(7, 4)]) * U([-2, 0, 1]) * U([1, 1, 1])
+    ivs = isolate_real_roots(p)
+    assert len(ivs) == 6 and [iv.lo for iv in ivs if iv.is_point] == [0]
+    for q in (-p, p * Fraction(-5, 3), U.from_roots([Fraction(7, 4)]) * p):
+        assert [(iv.lo, iv.hi) for iv in isolate_real_roots(q)] == [(iv.lo, iv.hi) for iv in ivs]
+        for iv in ivs:
+            assert refine_interval(q, iv, Fraction(1, 2 ** 20)) == \
+                refine_interval(p, iv, Fraction(1, 2 ** 20))
+    assert sturm_count(-p, (Fraction(1, 2), Fraction(7, 4))) == 2
+
+
+def test_isolation_is_kept_once_computed(monkeypatch):
+    from wronski import realroots
+
+    seen = []
+    isolate = realroots._isolate
+
+    def counted(p, deadline):
+        seen.append(p)
+        return isolate(p, deadline)
+
+    monkeypatch.setattr(realroots, "_isolate", counted)
+    p = U.from_roots([1, 2, Fraction(5, 3)]) * U([-2, 0, 1])
+    first = isolate_real_roots(p)
+    first.clear()  # the caller's list is its own
+    assert isolate_real_roots(p) == isolate_real_roots(U(p.coeffs))
+    assert len(isolate_real_roots(p)) == 5
+    assert len(seen) == 2 and seen[0] is p and seen[1] is not p
+
+
+def test_isolation_and_refinement_honor_deadline():
+    import time
+
+    past = time.monotonic() - 1
+    p = U.from_roots([1, 2, 3, Fraction(1, 3)]) * U([-2, 0, 1])
+    with pytest.raises(TimeoutError):  # the squarefree gcd notices first
+        isolate_real_roots(p, deadline=past)
+    p.squarefree_part()
+    with pytest.raises(TimeoutError):
+        isolate_real_roots(p, deadline=past)
+    ivs = isolate_real_roots(p)
+    assert len(ivs) == 6
+    wide = next(iv for iv in ivs if not iv.is_point)
+    with pytest.raises(TimeoutError):
+        refine_interval(p, wide, Fraction(1, 10 ** 6), deadline=past)
+    assert refine_interval(p, wide, Fraction(1, 10 ** 6)).width() <= Fraction(1, 10 ** 6)
