@@ -12,8 +12,9 @@ import sys
 from fractions import Fraction
 
 from .errors import DegenerateInstanceError, DomainError, EliminationError
-from .harness import (ExperimentConfig, meta_report, monte_carlo_hexagon, pair_experiment,
-                      plot_curves, resolve_height, triangulation_json, triangulation_report)
+from .harness import (ExperimentConfig, check_ranges, meta_report, monte_carlo_hexagon,
+                      pair_experiment, plot_curves, resolve_height, triangulation_json,
+                      triangulation_report)
 from .heights import in_secondary_cone
 from .lattice import load_triangulation
 from .orient import facet_system, orientation_witness, standard_triangle
@@ -30,6 +31,16 @@ def _fraction(text: str) -> Fraction:
 
 def _fraction_list(text: str):
     return tuple(_fraction(part) for part in text.split(","))
+
+
+def _ranges(pairs: int):
+    """argparse type: `pairs` comma-separated lo,hi pairs of rationals, lo < hi in each."""
+    def parse(text: str):
+        try:
+            return check_ranges(_fraction_list(text), "the value", pairs)
+        except DomainError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return parse
 
 
 def _emit(payload, out: str | None, fmt: str = "json"):
@@ -89,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", default="rho")
     p.add_argument("--eliminate", action="store_true")
     p.add_argument("--refine", type=int, default=2)
-    p.add_argument("--t0-scan", type=_fraction_list, default=(Fraction(0), Fraction(1)),
+    p.add_argument("--t0-scan", type=_ranges(1), default=(Fraction(0), Fraction(1)),
                    metavar="A,B", help="window for reported real roots")
     p.add_argument("--dump", help="write the slice polynomials to this file")
     common(p)
@@ -104,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("montecarlo", help="random hexagon pairs, exact counts")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t-range", type=_fraction_list, default=(Fraction(-1), Fraction(1)))
-    p.add_argument("--c-range", type=_fraction_list, default=(Fraction(-50), Fraction(50)))
+    p.add_argument("--t-range", type=_ranges(1), default=(Fraction(-1), Fraction(1)))
+    p.add_argument("--c-range", type=_ranges(1), default=(Fraction(-50), Fraction(50)))
     common(p)
 
     p = sub.add_parser("plot", help="SVG of a curve pair with intersection markers")
@@ -114,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_fraction, required=True)
     p.add_argument("--c", type=_fraction_list, required=True)
     p.add_argument("--cprime", type=_fraction_list, required=True)
-    p.add_argument("--window", type=_fraction_list, default=(Fraction(-2), Fraction(2),
+    p.add_argument("--window", type=_ranges(2), default=(Fraction(-2), Fraction(2),
                                                              Fraction(-2), Fraction(2)))
     p.add_argument("--resolution", type=int, default=512)
     common(p)
@@ -167,8 +178,6 @@ def _dispatch(args) -> int:
         rec = monte_carlo_hexagon(args.n, args.seed, args.t_range, args.c_range)
         _emit(rec.to_json(), args.out, args.format)
     elif cmd == "plot":
-        if len(args.window) != 4:
-            raise DomainError("--window needs x0,x1,y0,y1")
         if not args.out:
             raise DomainError("plot requires --out FILE")
         plot_curves(args.delta, args.height, args.t, args.c, args.cprime,

@@ -27,8 +27,8 @@ from fractions import Fraction
 from .errors import DegenerateInstanceError, DomainError, EliminationError
 from .polynomial import Polynomial
 from .realroots import (IsolatingInterval, UnivariatePolynomial, count_real_roots, dcompress,
-                        ddiv_exact, dexpand, dexponent_gcd, dgcd, dmul, dprimitive, dstrip,
-                        isolate_real_roots, refine_interval)
+                        ddiv_exact, dexpand, dexponent_gcd, dgcd, dmul, dprimitive,
+                        isolate_real_roots, refine_interval, sturm_count)
 from .resultants import resultant, resultant_factors
 from .rng import Stream, derive_seed
 from .systems import MetaSystem, boundary_subsystems
@@ -36,23 +36,9 @@ from .systems import MetaSystem, boundary_subsystems
 # -- helpers ----------------------------------------------------------------------
 
 
-def _as_t_poly(p: Polynomial) -> UnivariatePolynomial:
-    """Convert a polynomial involving only t to dense univariate form."""
-    coeffs = {}
-    if "t" in p.vars:
-        i = p.vars.index("t")
-    else:
-        i = None
-    for e, c in p.terms.items():
-        if any(k and pos != i for pos, k in enumerate(e)):
-            raise DomainError("polynomial is not univariate in t")
-        coeffs[e[i] if i is not None else 0] = c
-    if not coeffs:
-        return UnivariatePolynomial.zero()
-    out = [0] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
-    return UnivariatePolynomial(out)
+def _t_ints(p: Polynomial):
+    """Primitive integer t-list, positive leading coefficient, of a polynomial in t alone."""
+    return UnivariatePolynomial(p.dense("t")).int_primitive()
 
 
 def _strip_t_power(p: Polynomial):
@@ -77,37 +63,23 @@ def _t_content(p: Polynomial):
     if "t" not in p.vars or len(others) != 1:
         return p, UnivariatePolynomial([1])
     u = others[0]
-    ti = p.vars.index("t")
-    ui = p.vars.index(u)
-    buckets = {}
-    for e, c in p.terms.items():
-        buckets.setdefault(e[ui], {})[e[ti]] = int(c)
+    rows = [c.dense("t") for c in p.as_univariate(u)]
     g = []
-    for b in buckets.values():
-        lst = [0] * (max(b) + 1)
-        for k, c in b.items():
-            lst[k] = c
-        g = dgcd(g, dstrip(lst)) if g else dprimitive(dstrip(lst))
-        if g == [1]:
-            return p, UnivariatePolynomial([1])
-    content = UnivariatePolynomial.from_int_list(g)
-    gl = list(g)
-    red = {}
-    for e, c in p.terms.items():
-        red.setdefault(e[ui], {})[e[ti]] = int(c)
+    for row in rows:
+        if row:
+            g = dgcd(g, row) if g else dprimitive(row)
+            if g == [1]:
+                return p, UnivariatePolynomial([1])
+    rows = [ddiv_exact(row, g) for row in rows]
+    ti, ui = p.vars.index("t"), p.vars.index(u)
     terms = {}
-    for ue, b in red.items():
-        lst = [0] * (max(b) + 1)
-        for k, c in b.items():
-            lst[k] = c
-        q = ddiv_exact(dstrip(lst), gl)
-        for k, c in enumerate(q):
+    for ue, row in enumerate(rows):
+        for k, c in enumerate(row):
             if c:
                 e = [0] * len(p.vars)
-                e[ti] = k
-                e[ui] = ue
+                e[ti], e[ui] = k, ue
                 terms[tuple(e)] = c
-    return Polynomial(p.vars, terms), content
+    return Polynomial(p.vars, terms), UnivariatePolynomial.from_int_list(g)
 
 
 @dataclass(frozen=True)
@@ -123,15 +95,11 @@ class ProjectionFactor:
         """True when poly involves only the surviving variable and has no real zeros."""
         if self.surviving_var is None or self.poly.degree("t") > 0:
             return False
-        u = UnivariatePolynomial.zero()
         try:
-            coeffs = self.poly.as_univariate(self.surviving_var)
-            u = UnivariatePolynomial([c.constant_value() for c in coeffs])
-        except ValueError:
+            u = UnivariatePolynomial(self.poly.dense(self.surviving_var))
+        except DomainError:
             return False
-        if u.is_zero() or u.degree() == 0:
-            return not u.is_zero()
-        return count_real_roots(u) == 0
+        return not u.is_zero() and (u.degree() == 0 or count_real_roots(u) == 0)
 
 
 @dataclass(frozen=True)
@@ -187,11 +155,7 @@ class EliminationResult:
         return out
 
     def count_nonzero_real_roots(self) -> int:
-        n = 0
-        for iv in self.real_root_candidates(include_zero=False):
-            if not (iv.is_point and iv.lo == 0):
-                n += 1
-        return n
+        return len(self.real_root_candidates(include_zero=False))
 
     def to_json(self) -> dict:
         return {
@@ -215,7 +179,7 @@ def _compressed_squarefree(ints, deadline=None):
     """
     g = dexponent_gcd(ints)
     sf = UnivariatePolynomial.from_int_list(dcompress(ints, g)).squarefree_part(deadline)
-    return dexpand(sf.int_primitive(), g)
+    return dexpand(sf.coeffs, g)
 
 
 def _compressed_gcd(a, b, deadline=None):
@@ -286,15 +250,13 @@ def _one_route(fs, pivot: int, shear, deadline):
     raw_extra = d2 * (pr1.t_power + max(pr1.content.degree(), 0)) \
         + d1 * (pr2.t_power + max(pr2.content.degree(), 0))
     if d1 == 0 and d2 == 0:
-        e1, e2 = _as_t_poly(P1).int_primitive(), _as_t_poly(P2).int_primitive()
-        factors = [(dgcd(e1, e2), 1)]
+        factors = [(dgcd(_t_ints(P1), _t_ints(P2)), 1)]
     elif d1 == 0:
-        factors = [(_as_t_poly(P1).int_primitive(), 1)]
+        factors = [(_t_ints(P1), 1)]
     elif d2 == 0:
-        factors = [(_as_t_poly(P2).int_primitive(), 1)]
+        factors = [(_t_ints(P2), 1)]
     else:
-        factors = [(_as_t_poly(c.drop_unused()).int_primitive(), e)
-                   for c, e in resultant_factors(P1, P2, "y", deadline)]
+        factors = [(_t_ints(c), e) for c, e in resultant_factors(P1, P2, "y", deadline)]
         if not all(c for c, _ in factors):
             return None
     return factors, tuple(projections), raw_extra
@@ -387,42 +349,42 @@ def certify_no_real_solutions(system: MetaSystem, t_upper=None, refine: int = 2,
 
 def certify_elimination(result: EliminationResult, t_upper=None, deadline=None) -> Certificate:
     """The certificate of certify_no_real_solutions for an elimination already done."""
-    lo = Fraction(0) if t_upper is not None else None
     hi = Fraction(t_upper) if t_upper is not None else None
-    candidates = [iv for iv in result.real_root_candidates(lo=lo, hi=hi, include_zero=False,
-                                                           deadline=deadline)
-                  if not (iv.is_point and iv.lo == 0)]
-    if t_upper is not None:
-        candidates = [iv for iv in candidates if iv.lo < hi and (iv.hi > 0 or iv.is_point and iv.lo > 0)]
+    candidates = [iv for iv in result.real_root_candidates(include_zero=False, deadline=deadline)
+                  if hi is None or _root_in_window(result, iv, hi)]
     if not candidates:
         scope = "t != 0" if t_upper is None else f"0 < t <= {t_upper}"
         return Certificate(True, "eliminant", f"no real candidate roots with {scope}")
     for pr in result.projections:
-        if pr.t_free_no_real_zeros():
-            bad_content = (pr.content.degree() > 0
-                           and _content_has_roots(pr.content, lo, hi, deadline))
-            if not bad_content:
-                return Certificate(
-                    True, "projection-factor",
-                    f"partial projection in {pr.surviving_var!r} has no real zeros; "
-                    f"its stripped factors vanish only at t = 0")
+        if pr.t_free_no_real_zeros() and not (
+                pr.content.degree() > 0 and _content_has_roots(pr.content, hi, deadline)):
+            return Certificate(
+                True, "projection-factor",
+                f"partial projection in {pr.surviving_var!r} has no real zeros; "
+                f"its stripped factors vanish only at t = 0")
     return Certificate(False, "inconclusive",
                        "real candidate roots survive all certificates",
                        tuple(candidates))
 
 
-def _content_has_roots(content: UnivariatePolynomial, lo, hi, deadline) -> bool:
-    if content.degree() <= 0:
-        return False
-    roots = isolate_real_roots(content, deadline)
-    for iv in roots:
-        if iv.is_point and iv.lo == 0:
-            continue
-        if lo is None:  # whole punctured line
-            return True
-        if iv.hi > lo and iv.lo < hi:
-            return True
-    return False
+def _root_in_window(result: EliminationResult, iv: IsolatingInterval, t_upper) -> bool:
+    """Whether the root a candidate interval isolates lies in (0, t_upper], decided exactly.
+
+    A point is its root.  A proper interval's root is interior, so it lies in
+    the window exactly when a source has a root in (max(lo, 0), min(hi, t_upper)];
+    any other source's root found there lies in the window as well.
+    """
+    if iv.is_point:
+        return 0 < iv.lo <= t_upper
+    a, b = max(iv.lo, 0), min(iv.hi, t_upper)
+    return a < b and any(sturm_count(src, (a, b)) for src in (result.E,) + result.content_factors)
+
+
+def _content_has_roots(content: UnivariatePolynomial, t_upper, deadline) -> bool:
+    """Whether content vanishes in (0, t_upper], or anywhere but 0 when t_upper is None."""
+    if t_upper is not None:
+        return sturm_count(content, (0, t_upper)) > 0
+    return any(not (iv.is_point and iv.lo == 0) for iv in isolate_real_roots(content, deadline))
 
 
 # -- real intersection counting -----------------------------------------------------
@@ -471,11 +433,11 @@ def sheared_resultant(f: Polynomial, g: Polynomial, seed: int = 0):
         if not _constant_leading_y(fs) or not _constant_leading_y(gs):
             continue
         computed += 1
-        R = resultant(fs, gs, "y").drop_unused()
+        R = resultant(fs, gs, "y")
         if R.is_zero():
             zero_count += 1
             continue
-        u = UnivariatePolynomial([R.constant_value()]) if R.is_constant() else _as_x_poly(R)
+        u = UnivariatePolynomial(R.dense("x"))
         if u.is_squarefree():
             return s, fs, gs, u
     if computed and zero_count == computed:
@@ -489,11 +451,6 @@ def _constant_leading_y(p: Polynomial) -> bool:
         return False
     lead = p.as_univariate("y")[d]
     return lead.is_constant() and d == p.total_degree()
-
-
-def _as_x_poly(p: Polynomial) -> UnivariatePolynomial:
-    coeffs = p.as_univariate("x")
-    return UnivariatePolynomial([c.constant_value() for c in coeffs])
 
 
 # -- boundary strata -----------------------------------------------------------------
@@ -537,15 +494,15 @@ def boundary_check(system: MetaSystem):
         for p in polys:
             live = [v for v in p.vars if v != "t" and p.degree(v) > 0]
             (t_polys if not live else other).append(p)
-        candidates = [_as_t_poly(p).int_primitive() for p in t_polys]
+        candidates = [_t_ints(p) for p in t_polys]
         for i in range(len(other)):
             for j in range(i + 1, len(other)):
                 u = next(v for v in other[i].vars if v != "t" and other[i].degree(v) > 0)
                 if other[j].degree(u) <= 0:
                     continue
-                r = resultant(other[i], other[j], u).drop_unused()
+                r = resultant(other[i], other[j], u)
                 if not r.is_zero():
-                    candidates.append(_as_t_poly(r).int_primitive())
+                    candidates.append(_t_ints(r))
         if not candidates:
             out.append(BoundaryReport(label, restriction.zeroed, colors,
                                       "positive-dimensional", (),

@@ -39,6 +39,15 @@ def resolve_height(name, delta: int) -> HeightFunction:
     return load_heights(name, delta)
 
 
+def check_ranges(values, name: str, pairs: int = 1) -> tuple:
+    """values as a tuple of `pairs` lo,hi pairs with lo < hi each; DomainError otherwise."""
+    values = tuple(values)
+    if len(values) != 2 * pairs or any(lo >= hi for lo, hi in zip(values[::2], values[1::2])):
+        raise DomainError(f"{name} must be {pairs} lo,hi pair(s) with lo < hi, not "
+                          + ",".join(map(str, values)))
+    return values
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -66,8 +75,9 @@ class ExperimentConfig:
             raise DomainError("n must be at least 1")
         if self.kind in self.STOCHASTIC and self.seed is None:
             raise DomainError("stochastic experiments require an explicit seed")
-        if self.t_range[0] >= self.t_range[1] or self.c_range[0] >= self.c_range[1]:
-            raise DomainError("empty draw range")
+        check_ranges(self.t_range, "t_range")
+        check_ranges(self.c_range, "c_range")
+        check_ranges(self.window, "window", 2)
         return self
 
     def to_json(self) -> dict:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import DomainError
+
 
 def norm_coeff(c):
     """Normalize to int when exact, Fraction otherwise."""
@@ -359,6 +361,27 @@ class Polynomial:
         for e, c in self.terms.items():
             buckets[e[i]][e[:i] + e[i + 1:]] = c
         return [Polynomial(rest, b) for b in buckets]
+
+    def dense(self, var) -> list:
+        """Ascending coefficient list in var of a polynomial with no other live variable.
+
+        A polynomial free of var gives [constant] ([] for zero); any other
+        live variable raises DomainError.
+        """
+        i = self.vars.index(var) if var in self.vars else None
+        out = [0] * (max(self.degree(var), 0) + 1) if self.terms else []
+        for e, c in self.terms.items():
+            k = e[i] if i is not None else 0
+            if sum(e) != k:
+                raise DomainError(f"polynomial is not univariate in {var!r}")
+            out[k] = c
+        return out
+
+    @classmethod
+    def from_dense(cls, coeffs, var, variables) -> "Polynomial":
+        """Inverse of dense: sum c_k var^k in variables; a constant when var is absent."""
+        return cls(variables, {tuple(k if v == var else 0 for v in variables): c
+                               for k, c in enumerate(coeffs) if c})
 
     @staticmethod
     def from_univariate(coeffs, var: str) -> "Polynomial":

@@ -1,4 +1,4 @@
-"""Univariate polynomials over the rationals: gcds, real-root counts and isolation.
+"""Univariate integer polynomials: gcds, real-root counts and isolation.
 
 Everything is exact.  A polynomial keeps its squarefree part and its
 isolating intervals once computed, so every count, isolation and refinement
@@ -49,7 +49,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DomainError
 
@@ -62,16 +62,13 @@ def dstrip(c):
     return c
 
 
-def dadd(a, b):
-    n = max(len(a), len(b))
-    return dstrip([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
-
-
 def dneg(a):
     return [-c for c in a]
 
+
 def dsub(a, b):
-    return dadd(a, dneg(b))
+    n = max(len(a), len(b))
+    return dstrip([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
 
 
 def dmul(a, b):
@@ -395,20 +392,19 @@ def _squarefree_mod_p(ints) -> bool:
     return len(_gcd_mod_p(a, [k * c % p for k, c in enumerate(a)][1:], p)) == 1
 
 
-def _divides(g, a) -> bool:
-    """Whether g divides a over Z, by exact division.
+def _quotient(a, g):
+    """a / g over Z by exact division, or None when g does not divide a.
 
     The leading and lowest coefficients are tested first: a candidate that
     fails there is rejected without a division.
     """
     k = next(i for i, c in enumerate(g) if c)
     if a[-1] % g[-1] or any(a[:k]) or a[k] % g[k]:
-        return False
+        return None
     try:
-        ddiv_exact(a, g)
+        return ddiv_exact(a, g)
     except ValueError:
-        return False
-    return True
+        return None
 
 
 def dgcd(a, b, deadline=None):
@@ -420,12 +416,21 @@ def dgcd(a, b, deadline=None):
     (a time.monotonic() value), it is checked before each prime and
     TimeoutError raised once it has passed.
     """
+    return _gcd_cofactor(a, b, deadline)[0]
+
+
+def _gcd_cofactor(a, b, deadline=None):
+    """(G, a / G) for G = dgcd(a, b), with a made primitive first.
+
+    The cofactor is the quotient the acceptance check has already formed.
+    """
     a, b = dstrip(dprimitive(a)), dstrip(dprimitive(b))
     if not a or not b:
         g = a or b
-        return dneg(g) if g and g[-1] < 0 else g
+        g = dneg(g) if g and g[-1] < 0 else g
+        return g, [a[-1] // g[-1]] if a else []
     if len(a) == 1 or len(b) == 1:
-        return [1]
+        return [1], a
     gamma = gcd(a[-1], b[-1])
     m, h = 1, None  # the modulus and the symmetric residues of the kept images
     for p in _primes():
@@ -434,7 +439,7 @@ def dgcd(a, b, deadline=None):
             continue
         image = _gcd_mod_p([c % p for c in a], [c % p for c in b], p)
         if len(image) == 1:
-            return [1]
+            return [1], a
         if h is not None and len(image) > len(h):
             continue
         scale = gamma * pow(image[-1], -1, p) % p
@@ -449,60 +454,51 @@ def dgcd(a, b, deadline=None):
         g = dprimitive(h)
         if g[-1] < 0:
             g = dneg(g)
-        if _divides(g, a) and _divides(g, b):
-            return g
+        q = _quotient(a, g)
+        if q is not None and _quotient(b, g) is not None:
+            return g, q
 
 
 # -- the univariate polynomial wrapper ------------------------------------------
 
 
 class UnivariatePolynomial:
-    """Dense rational coefficients, ascending; the zero polynomial is allowed."""
+    """Dense integer coefficients, ascending; the zero polynomial is allowed.
+
+    Rational input is multiplied by the lcm of its denominators.  That factor
+    is positive, so signs, roots, counts and isolating intervals are those of
+    the input.
+    """
 
     __slots__ = ("coeffs", "_sf", "_roots")
 
     def __init__(self, coeffs):
-        cs = []
-        for c in coeffs:
-            c = Fraction(c) if not isinstance(c, (int, Fraction)) else c
-            cs.append(c)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = [int(c) if isinstance(c, Fraction) and c.denominator == 1 else c for c in cs]
+        cs = list(coeffs)
+        if any(type(c) is not int for c in cs):
+            cs = [Fraction(c) for c in cs]
+            den = lcm(*(c.denominator for c in cs))
+            cs = [c.numerator * (den // c.denominator) for c in cs]
+        self.coeffs = dstrip(cs)
         self._sf = None  # the squarefree part, once computed
         self._roots = None  # the isolating intervals, once computed
 
-    # construction helpers
-
-    @classmethod
-    def zero(cls):
-        return cls([])
-
     @classmethod
     def from_int_list(cls, ints):
-        p = cls.__new__(cls)
-        p.coeffs = dstrip(list(ints))
-        p._sf = None
-        p._roots = None
-        return p
+        return cls(ints)
 
     @classmethod
     def from_roots(cls, roots):
-        p = cls([1])
-        for r in roots:
-            p = p * cls([-Fraction(r), 1])
-        return p
+        """prod (d x - n) over the roots n / d: the monic product times a positive integer."""
+        out = [1]
+        for r in map(Fraction, roots):
+            out = dmul(out, [-r.numerator, r.denominator])
+        return cls(out)
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def leading(self):
-        if not self.coeffs:
-            raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def __call__(self, x):
         acc = Fraction(0)
@@ -513,52 +509,21 @@ class UnivariatePolynomial:
     def __eq__(self, other):
         if not isinstance(other, UnivariatePolynomial):
             return NotImplemented
-        return [Fraction(c) for c in self.coeffs] == [Fraction(c) for c in other.coeffs]
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(tuple(Fraction(c) for c in self.coeffs))
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UnivariatePolynomial(
-            [(self.coeffs[i] if i < len(self.coeffs) else 0)
-             + (other.coeffs[i] if i < len(other.coeffs) else 0) for i in range(n)])
-
-    def __sub__(self, other):
-        return self + (-other)
+        return hash(tuple(self.coeffs))
 
     def __neg__(self):
-        return UnivariatePolynomial([-c for c in self.coeffs])
+        return UnivariatePolynomial(dneg(self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return UnivariatePolynomial([c * other for c in self.coeffs])
-        if not self.coeffs or not other.coeffs:
-            return UnivariatePolynomial([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ca in enumerate(self.coeffs):
-            for j, cb in enumerate(other.coeffs):
-                out[i + j] += ca * cb
-        return UnivariatePolynomial(out)
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "UnivariatePolynomial":
-        return UnivariatePolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
+        return UnivariatePolynomial(dmul(self.coeffs, getattr(other, "coeffs", [other])))
 
     def int_primitive(self):
         """Primitive integer coefficient list with positive leading coefficient."""
-        if not self.coeffs:
-            return []
-        den = 1
-        for c in self.coeffs:
-            if isinstance(c, Fraction):
-                den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        ints = dprimitive(ints)
-        if ints[-1] < 0:
-            ints = dneg(ints)
-        return ints
+        ints = dprimitive(self.coeffs)
+        return dneg(ints) if ints and ints[-1] < 0 else ints
 
     def __repr__(self):
         if not self.coeffs:
@@ -586,9 +551,8 @@ class UnivariatePolynomial:
             if len(ints) <= 1:
                 sf = UnivariatePolynomial.from_int_list(ints and [1])
             else:
-                g = dgcd(ints, dstrip([k * c for k, c in enumerate(ints)][1:]), deadline)
-                sf = UnivariatePolynomial.from_int_list(
-                    dprimitive(ints if len(g) == 1 else ddiv_exact(ints, g)))
+                deriv = dstrip([k * c for k, c in enumerate(ints)][1:])
+                sf = UnivariatePolynomial.from_int_list(_gcd_cofactor(ints, deriv, deadline)[1])
             sf._sf = sf
             self._sf = sf
         return self._sf
@@ -826,9 +790,7 @@ class IsolatingInterval:
 
 def root_bound(p: UnivariatePolynomial) -> Fraction:
     """Cauchy-style bound: every real root has absolute value below the result."""
-    lc = abs(Fraction(p.leading()))
-    m = max((abs(Fraction(c)) for c in p.coeffs[:-1]), default=Fraction(0))
-    return 1 + m / lc
+    return 1 + Fraction(max(map(abs, p.coeffs[:-1]), default=0), abs(p.coeffs[-1]))
 
 
 def isolate_real_roots(p: UnivariatePolynomial, deadline=None):

@@ -38,7 +38,7 @@ from math import gcd
 
 from .errors import DomainError
 from .polynomial import Polynomial
-from .realroots import dcompress, ddiv_exact, dexpand, dexponent_gcd, dmul, dneg, dstrip, dsub
+from .realroots import dcompress, ddiv_exact, dexpand, dexponent_gcd, dmul, dneg, dsub
 
 # -- coefficient ring adapters --------------------------------------------------
 
@@ -251,10 +251,10 @@ def _factors(f, g, var, deadline):
     if len(live) <= 1:
         u = live[0] if live else None
         ring = _IntListRing
-        A, B = [_dense_in(c, u) for c in A], [_dense_in(c, u) for c in B]
+        A, B = [c.dense(u) for c in A], [c.dense(u) for c in B]
 
         def out(c):
-            return _from_dense(c, u, rest)
+            return Polynomial.from_dense(c, u, rest)
     else:
         ring, out = _PolyRing(rest), _same
     return ring, out, scale, _coset_factors(A, B, ring, deadline)
@@ -289,32 +289,6 @@ def _coset_factors(A, B, ring, deadline):
         return [(ring.zero(), 1)]
     factors.append((res, k))
     return factors
-
-
-def _dense_in(c: Polynomial, var):
-    if var is None or var not in c.vars:
-        v = c.constant_value()
-        return [] if v == 0 else [int(v)]
-    i = c.vars.index(var)
-    d = c.degree(var)
-    out = [0] * (d + 1)
-    for e, v in c.terms.items():
-        out[e[i]] = int(v)
-    return dstrip(out)
-
-
-def _from_dense(lst, var, rest) -> Polynomial:
-    if var is None:
-        return Polynomial.const(lst[0] if lst else 0, rest)
-    i = rest.index(var)
-    terms = {}
-    base = [0] * len(rest)
-    for k, c in enumerate(lst):
-        if c:
-            e = list(base)
-            e[i] = k
-            terms[tuple(e)] = c
-    return Polynomial(rest, terms)
 
 
 def sylvester_matrix(f: Polynomial, g: Polynomial, var: str):

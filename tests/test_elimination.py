@@ -1,3 +1,6 @@
+import functools
+import json
+import zlib
 from fractions import Fraction as Q
 
 import pytest
@@ -9,8 +12,8 @@ from wronski.errors import EliminationError
 from wronski.heights import HeightFunction, minimal_height
 from wronski.lattice import hexagon_example
 from wronski.polynomial import Polynomial
-from wronski.realroots import (UnivariatePolynomial, count_real_roots, ddiv_exact, dgcd, dmul,
-                               sturm_count)
+from wronski.realroots import (IsolatingInterval, UnivariatePolynomial, count_real_roots,
+                               ddiv_exact, dgcd, dmul, isolate_real_roots, sturm_count)
 from wronski.resultants import resultant, resultant_factors
 from wronski.rng import Stream
 from wronski.systems import meta_system, meta_system_from_points
@@ -262,3 +265,108 @@ def test_refinement_keeps_roots_of_secondary_route_contents():
     cert = certify_no_real_solutions(system, refine=2)
     assert not cert.certified
     assert any(iv.lo <= 2 <= iv.hi for iv in cert.candidates)
+
+
+# -- the certificate window, pinned eliminations and more soundness spot checks -------
+
+
+@functools.cache
+def delta5_elimination():
+    return eliminate_to_t(meta_system(5, HeightFunction.rho(5)), refine=2)
+
+
+def test_delta5_elimination_pinned():
+    # CRC32 of the sorted-key JSON of the refined delta-5 elimination (criterion 9)
+    payload = json.dumps(delta5_elimination().to_json(), sort_keys=True)
+    assert zlib.crc32(payload.encode()) == 3561718772
+
+
+def test_certificate_keeps_only_candidates_inside_the_window():
+    # the least positive root of E is about 0.99997: its unrefined isolating
+    # interval (0, 143) overlaps (0, 0.9999] but its root does not lie there
+    result = delta5_elimination()
+    assert sturm_count(result.E, (0, Q(9999, 10000))) == 0
+    assert sturm_count(result.E, (0, 1)) == 1
+    cert = certify_elimination(result, Q(9999, 10000))
+    assert cert.certified and cert.method == "eliminant"
+    assert certify_no_real_solutions(meta_system(5, HeightFunction.rho(5)),
+                                     t_upper=Q(9999, 10000)) == cert
+    cert = certify_elimination(result, Q(1))
+    assert not cert.certified
+    assert any(iv.lo < 1 < iv.hi for iv in cert.candidates)
+
+
+def system_meeting_where(h):
+    """f0 = x + y - 2, f1 = x - y^2, f2 = f1 + h(t) y: real solutions (1, 1) and
+    (4, -2) where h(t) = 0, and none elsewhere."""
+    V = ("t", "x", "y")
+    t, x, y = (Polynomial.variable(v, V) for v in V)
+    bad = meta_system(1, HeightFunction.zero(1))
+    fs = (x + y - 2, x - y * y, x - y * y + h(t) * y)
+    return type(bad)(bad.points, bad.coloring, bad.omega, bad.kappa, fs, 1)
+
+
+def two_root_system():
+    # E = (t - 2)(2t - 7) is isolated with the exact point [2, 2]
+    return system_meeting_where(lambda t: (t - 2) * (2 * t - 7))
+
+
+def test_certificate_counts_a_root_on_the_window_edge():
+    result = eliminate_to_t(two_root_system(), refine=2)
+    assert result.E == UnivariatePolynomial([14, -11, 2])
+    assert isolate_real_roots(result.E)[0] == IsolatingInterval(Q(2), Q(2))
+    assert certify_elimination(result, Q(19, 10)).certified
+    for t_upper in (Q(2), Q(3), Q(7, 2), None):
+        cert = certify_elimination(result, t_upper)
+        assert not cert.certified, t_upper
+        assert any(iv.lo <= 2 <= iv.hi for iv in cert.candidates)
+
+
+def test_certificate_window_is_exact_property():
+    # the eliminant certificate is issued exactly when no source (E or a
+    # content factor) has a root in (0, t_upper]; the projection-factor one
+    # only when the content factors of a zero-free partial projection have none
+    stream = Stream(0xCE27)
+    systems = [hexagon_meta(), meta_system(3, HeightFunction.rho(3)),
+               meta_system(3, minimal_height(3)), meta_system(2, minimal_height(2)),
+               two_root_system(), system_meeting_where(lambda t: t - 2)]
+    results = [eliminate_to_t(s, refine=r) for s in systems for r in (0, 2)]
+    results.append(delta5_elimination())
+    for result in results:
+        sources = (result.E,) + result.content_factors
+        edges = [x for src in sources if src.degree() > 0
+                 for iv in isolate_real_roots(src) for x in (iv.lo, iv.hi) if x > 0]
+        randoms = [Q(stream.int_in(1, 4000), stream.int_in(1, 2000)) for _ in range(12)]
+        for t_upper in edges + randoms:
+            cert = certify_elimination(result, t_upper)
+            empty = all(sturm_count(src, (0, t_upper)) == 0 for src in sources)
+            assert (cert.method == "eliminant") == empty, t_upper
+            if cert.method == "projection-factor":
+                assert any(pr.t_free_no_real_zeros() and (
+                    pr.content.degree() <= 0 or sturm_count(pr.content, (0, t_upper)) == 0)
+                    for pr in result.projections)
+            assert cert.certified == (cert.method != "inconclusive")
+
+
+def _spot_check_window(system, t_upper: Q, denominator: int, samples: int, seed: int):
+    stream = Stream(seed)
+    for _ in range(samples):
+        t = Q(stream.int_in(1, int(t_upper * denominator)), denominator)
+        fs = [f.substitute({"t": t}).drop_unused().with_variables(("x", "y"))
+              for f in system.f]
+        assert _no_common_real_zero_of_triple(*fs), t
+
+
+def test_elimination_soundness_spot_checks_hexagon():
+    # certified through the zero-free projection factor on (0, 1], although
+    # E = 4t^6 - 1 has a root there
+    system = hexagon_meta()
+    assert certify_no_real_solutions(system, t_upper=Q(1)).method == "projection-factor"
+    _spot_check_window(system, Q(1), 10 ** 6, 20, 0x50FE)
+
+
+def test_elimination_soundness_spot_checks_delta5():
+    # (0, 0.9999] lies just below criterion 9's least positive root
+    assert certify_elimination(delta5_elimination(), Q(9999, 10000)).certified
+    _spot_check_window(meta_system(5, HeightFunction.rho(5)), Q(9999, 10000), 10 ** 4, 8,
+                       0x50FF)

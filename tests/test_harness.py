@@ -268,3 +268,32 @@ def test_cli_out_file_atomic(tmp_path, capsys):
     capsys.readouterr()
     assert json.loads(out.read_text())["points"]
     assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["montecarlo", "--n", "1", "--seed", "1", "--t-range", "1"],
+    ["montecarlo", "--n", "1", "--seed", "1", "--c-range", "5,-5"],
+    ["meta", "--delta", "3", "--eliminate", "--t0-scan", "1"],
+    ["meta", "--delta", "3", "--eliminate", "--t0-scan", "1,0"],
+    ["plot", "--delta", "3", "--t", "1/2", "--c", "1,2,3", "--cprime", "3,2,1",
+     "--window", "-2,2,2", "--out", "unused.svg"],
+    ["plot", "--delta", "3", "--t", "1/2", "--c", "1,2,3", "--cprime", "3,2,1",
+     "--window", "-2,2,2,-2", "--out", "unused.svg"],
+])
+def test_cli_malformed_ranges_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert "lo < hi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("t_range", [1]), ("t_range", [1, 0]), ("c_range", [1, 2, 3]), ("window", [-2, 2, 2]),
+])
+def test_cli_malformed_config_exit_2(key, value, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "montecarlo", "n": 1, "seed": 1, key: value}))
+    assert cli_main(["--config", str(path)]) == 2
+    assert f"{key} must be" in capsys.readouterr().err
+    with pytest.raises(DomainError):
+        ExperimentConfig("pair", **{key: tuple(map(Q, value))}).validate()

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from wronski.errors import DomainError
 from wronski.polynomial import Polynomial
 
 V = ("x", "y")
@@ -161,3 +162,20 @@ def test_substitute_composes_with_evaluation():
         lhs = f.substitute({"x": img}).evaluate(pt)
         rhs = f.evaluate({"x": img.evaluate(pt), "y": pt["y"]})
         assert lhs == rhs
+
+
+def test_dense_views():
+    TXY = ("t", "x", "y")
+    f = Polynomial(TXY, {(3, 0, 0): 2, (0, 0, 0): Fraction(-1, 2)})
+    assert f.dense("t") == [Fraction(-1, 2), 0, 0, 2]
+    assert Polynomial.from_dense(f.dense("t"), "t", TXY) == f
+    assert Polynomial.from_dense(f.dense("t"), "t", TXY).vars == TXY
+    assert Polynomial.const(5, TXY).dense("x") == [5]
+    assert Polynomial.const(7, ()).dense("t") == [7]
+    assert Polynomial.zero(TXY).dense("t") == []
+    assert Polynomial.from_dense([], "t", TXY).is_zero()
+    assert Polynomial.from_dense([4], None, ("x",)) == Polynomial.const(4, ("x",))
+    with pytest.raises(DomainError):
+        Polynomial(TXY, {(1, 1, 0): 1}).dense("t")
+    with pytest.raises(DomainError):
+        Polynomial(TXY, {(0, 0, 1): 1}).dense("t")

@@ -362,3 +362,36 @@ def test_isolation_and_refinement_honor_deadline():
     with pytest.raises(TimeoutError):
         refine_interval(p, wide, Fraction(1, 10 ** 6), deadline=past)
     assert refine_interval(p, wide, Fraction(1, 10 ** 6)).width() <= Fraction(1, 10 ** 6)
+
+
+# -- the integer representation ---------------------------------------------------------
+
+
+def test_rational_input_is_stored_as_integers():
+    p = U([Fraction(1, 2), Fraction(-1, 3)])
+    assert p.coeffs == [3, -2] and all(type(c) is int for c in p.coeffs)
+    assert p == U([3, -2]) and hash(p) == hash(U([3, -2]))
+    assert repr(p) == "UnivariatePolynomial(-2*x + 3)"
+    assert U.from_roots([Fraction(1, 2), -3]).coeffs == [-3, 5, 2]  # (2x - 1)(x + 3)
+    assert (p * Fraction(-3, 2)).coeffs == [-9, 6] and (-p).coeffs == [-3, 2]
+    assert (p * p).coeffs == [9, -12, 4] and (p * 0).is_zero()
+    assert U([0, Fraction(0)]).is_zero() and repr(U([])) == "UnivariatePolynomial(0)"
+    assert U.from_int_list([2, 4, 0]).coeffs == [2, 4]  # kept as given, not made primitive
+    assert U([1, 2, 3])(Fraction(1, 2)) == Fraction(11, 4)
+
+
+def test_squarefree_part_reuses_the_gcd_cofactor(monkeypatch):
+    # the exact division that accepts gcd(f, f') already gives f / gcd
+    from wronski import realroots
+
+    seen = []
+    divide = realroots.ddiv_exact
+
+    def counted(a, b):
+        seen.append((tuple(a), tuple(b)))
+        return divide(a, b)
+
+    monkeypatch.setattr(realroots, "ddiv_exact", counted)
+    p = U.from_roots([1, 1, 1, -2, -2, Fraction(1, 3)]) * U([1, 0, 1])
+    assert p.squarefree_part() == U.from_roots([1, -2, Fraction(1, 3)]) * U([1, 0, 1])
+    assert seen and len(seen) == len(set(seen))
