@@ -125,8 +125,12 @@ class EliminationResult:
                              refine_width=None, deadline=None):
         """Isolating intervals of every certified-candidate real t in (lo, hi].
 
+        A candidate is kept when its root lies in the window, decided exactly
+        (see _root_in_window); lo or hi None leaves that side open.
         Isolation and refinement raise TimeoutError past the deadline.
         """
+        lo = Fraction(lo) if lo is not None else None
+        hi = Fraction(hi) if hi is not None else None
         own = []
         sources = [self.E] + [c for c in self.content_factors if c.degree() > 0]
         for src in sources:
@@ -135,9 +139,11 @@ class EliminationResult:
             for iv in isolate_real_roots(src, deadline):
                 if refine_width is not None:
                     iv = refine_interval(src, iv, Fraction(refine_width), deadline)
-                own.append(iv)
-        if self.t_power_removed and include_zero:
-            own.append(IsolatingInterval(Fraction(0), Fraction(0)))
+                if _root_in_window(src, iv, lo, hi):
+                    own.append(iv)
+        zero = IsolatingInterval(Fraction(0), Fraction(0))
+        if self.t_power_removed and include_zero and _root_in_window(None, zero, lo, hi):
+            own.append(zero)
         seen = set()
         out = []
         for iv in sorted(own, key=lambda v: (v.lo, v.hi)):
@@ -146,10 +152,6 @@ class EliminationResult:
                 continue
             seen.add(key)
             if not include_zero and iv.is_point and iv.lo == 0:
-                continue
-            if lo is not None and iv.hi <= lo:
-                continue
-            if hi is not None and iv.lo >= hi:
                 continue
             out.append(iv)
         return out
@@ -350,8 +352,8 @@ def certify_no_real_solutions(system: MetaSystem, t_upper=None, refine: int = 2,
 def certify_elimination(result: EliminationResult, t_upper=None, deadline=None) -> Certificate:
     """The certificate of certify_no_real_solutions for an elimination already done."""
     hi = Fraction(t_upper) if t_upper is not None else None
-    candidates = [iv for iv in result.real_root_candidates(include_zero=False, deadline=deadline)
-                  if hi is None or _root_in_window(result, iv, hi)]
+    candidates = result.real_root_candidates(0 if hi is not None else None, hi,
+                                             include_zero=False, deadline=deadline)
     if not candidates:
         scope = "t != 0" if t_upper is None else f"0 < t <= {t_upper}"
         return Certificate(True, "eliminant", f"no real candidate roots with {scope}")
@@ -367,17 +369,21 @@ def certify_elimination(result: EliminationResult, t_upper=None, deadline=None) 
                        tuple(candidates))
 
 
-def _root_in_window(result: EliminationResult, iv: IsolatingInterval, t_upper) -> bool:
-    """Whether the root a candidate interval isolates lies in (0, t_upper], decided exactly.
+def _root_in_window(src, iv: IsolatingInterval, lo, hi) -> bool:
+    """Whether the root of src that iv isolates lies in (lo, hi], decided exactly.
 
-    A point is its root.  A proper interval's root is interior, so it lies in
-    the window exactly when a source has a root in (max(lo, 0), min(hi, t_upper)];
-    any other source's root found there lies in the window as well.
+    lo or hi None leaves that side open.  A point is its root (src is not
+    consulted).  A proper interval holds exactly one root of src, strictly
+    inside, so it lies in the window when the interval does, and otherwise
+    exactly when src has a root in the overlap (max(iv.lo, lo), min(iv.hi, hi)].
     """
     if iv.is_point:
-        return 0 < iv.lo <= t_upper
-    a, b = max(iv.lo, 0), min(iv.hi, t_upper)
-    return a < b and any(sturm_count(src, (a, b)) for src in (result.E,) + result.content_factors)
+        return (lo is None or lo < iv.lo) and (hi is None or iv.lo <= hi)
+    a = iv.lo if lo is None else max(iv.lo, lo)
+    b = iv.hi if hi is None else min(iv.hi, hi)
+    if (a, b) == (iv.lo, iv.hi):
+        return True
+    return a < b and sturm_count(src, (a, b)) > 0
 
 
 def _content_has_roots(content: UnivariatePolynomial, t_upper, deadline) -> bool:

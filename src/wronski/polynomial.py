@@ -264,7 +264,7 @@ class Polynomial:
             result = result + term
         return result
 
-    # -- content and division ------------------------------------------------
+    # -- content ---------------------------------------------------------------
 
     def content(self) -> Fraction:
         """Positive rational c with self/c primitive integral; 0 for the zero poly."""
@@ -284,44 +284,6 @@ class Polynomial:
             return self
         inv = 1 / c
         return Polynomial(self.vars, {e: v * inv for e, v in self.terms.items()})
-
-    def _lead(self):
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
-
-    def exact_div(self, other) -> "Polynomial":
-        """Exact polynomial division; raises ValueError if not divisible."""
-        if isinstance(other, (int, Fraction)):
-            c0 = norm_coeff(other)
-            if c0 == 0:
-                raise ZeroDivisionError("division by zero")
-            return Polynomial(self.vars, {e: norm_coeff(Fraction(c) / c0) for e, c in self.terms.items()})
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if other.is_constant():
-            return self.exact_div(other.constant_value())
-        a, b = _aligned(self, other)
-        rem = dict(a.terms)
-        le, lc0 = b._lead()
-        quo = {}
-        while rem:
-            e = max(rem, key=_grlex_key)
-            c = rem[e]
-            qe = tuple(x - y for x, y in zip(e, le))
-            if any(k < 0 for k in qe):
-                raise ValueError("not an exact division")
-            qc = norm_coeff(Fraction(c) / Fraction(lc0)) if not (
-                type(c) is int and type(lc0) is int and c % lc0 == 0
-            ) else c // lc0
-            quo[qe] = qc
-            for be, bc in b.terms.items():
-                ne = tuple(x + y for x, y in zip(qe, be))
-                s = rem.get(ne, 0) - qc * bc
-                if s == 0:
-                    rem.pop(ne, None)
-                else:
-                    rem[ne] = s
-        return Polynomial(a.vars, quo)
 
     # -- views ----------------------------------------------------------------
 

@@ -41,7 +41,10 @@ alone: below KRONECKER_MIN terms they run the schoolbook loops; from there on
 the operands are packed into single integers (Kronecker substitution) and
 multiplied by CPython's C big-integer arithmetic, and quotients come from a
 2-adic exact division that is accepted only after multiplying back to the
-dividend exactly; an inexact division still raises ValueError.
+dividend exactly; an inexact division still raises ValueError.  Integer
+quotients (`dquo_exact`, the exact divisions of the resultant PRS) switch on
+size the same way, from `divmod` to a 2-adic quotient checked by
+multiplying back.
 """
 
 from __future__ import annotations
@@ -64,11 +67,6 @@ def dstrip(c):
 
 def dneg(a):
     return [-c for c in a]
-
-
-def dsub(a, b):
-    n = max(len(a), len(b))
-    return dstrip([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
 
 
 def dmul(a, b):
@@ -142,19 +140,18 @@ def ddiv_exact(a, b):
 
 def dprem(a, b):
     """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, integer arithmetic."""
-    da, db = len(a) - 1, len(b) - 1
+    db = len(b) - 1
     if db < 0:
         raise ZeroDivisionError("pseudo-division by zero")
+    lb, low = b[-1], b[:-1]
     r = list(a)
-    lb = b[-1]
-    steps = da - db + 1
-    while len(r) - 1 >= db and r:
-        lead = r[-1]
-        r = [c * lb for c in r]
-        shift = len(r) - 1 - db
-        for i, cb in enumerate(b):
-            r[shift + i] -= lead * cb
-        r = dstrip(r)
+    steps = len(a) - db
+    while len(r) > db:
+        lead = r.pop()  # cancelled by lead * lb
+        shift = len(r) - db
+        r[:shift] = [c * lb for c in r[:shift]]
+        r[shift:] = [c * lb - lead * cb for c, cb in zip(r[shift:], low)]
+        dstrip(r)
         steps -= 1
     if steps > 0:
         r = dscale(r, lb ** steps)
@@ -196,6 +193,10 @@ def dexpand(a, g: int):
 # operand lengths alone, with KRONECKER_MIN as the cut-off.
 
 KRONECKER_MIN = 24
+# Measured with Python 3.11 on a 2-vCPU VM: one quotient of 32 kbit by 32 kbit
+# takes about as long either way, the 2-adic one is 2-3x faster at 128-256 kbit,
+# and the delta-6 outer PRS runs equally fast with cuts from 8 to 64 kbit.
+QUOTIENT_2ADIC_BITS = 32768
 
 
 def _maxbits(a) -> int:
@@ -260,6 +261,41 @@ def _inverse_2adic(b: int, nbits: int) -> int:
         x = (x - ((x * e) << k)) & ((1 << p) - 1)
         nbits = p
     return x
+
+
+def dquo_exact(a, d: int):
+    """[c / d for c in a] for an integer d dividing every entry; ValueError otherwise.
+
+    CPython divides big integers in quadratic time, so once the widest
+    quotient and the divisor both reach QUOTIENT_2ADIC_BITS the quotients are
+    taken 2-adically instead (Jebelean): with v the 2-adic valuation of d,
+    c / d = (c / 2^v) (d / 2^v)^-1 modulo 2^n, read as a balanced residue,
+    for any n with |c / d| < 2^(n-1).  One inverse serves every entry, and
+    each quotient q is returned only after q d == c has been checked.
+    """
+    dbits = d.bit_length()
+    nq = max(c.bit_length() for c in a) - dbits + 2  # |c / d| < 2^(nq - 1)
+    if min(nq, dbits) < QUOTIENT_2ADIC_BITS:
+        out = []
+        for c in a:
+            q, r = divmod(c, d)
+            if r:
+                raise ValueError("not an exact division")
+            out.append(q)
+        return out
+    v = (d & -d).bit_length() - 1
+    inv = _inverse_2adic(d >> v, nq)
+    out = []
+    for c in a:
+        n = max(c.bit_length() - dbits + 2, 1)
+        mask = (1 << n) - 1
+        q = (((c >> v) & mask) * (inv & mask)) & mask
+        if q >> (n - 1):
+            q -= 1 << n
+        if q * d != c:
+            raise ValueError("not an exact division")
+        out.append(q)
+    return out
 
 
 def _kdiv_exact(a, b):

@@ -1,4 +1,4 @@
-"""Resultants of multivariate polynomials by subresultant remainder sequences.
+"""Resultants of multivariate polynomials, each by one subresultant PRS on integers.
 
 Before any remainder sequence runs, each input, as a coefficient list in the
 eliminated variable y, is written as y^a Q(y^k1): a is its lowest exponent
@@ -17,16 +17,38 @@ Q2(z_i)^k = Res_z(Q1, Q2)^k.  `resultant_factors` returns these factors and
 `resultant` their product; the remainder sequence then runs at degree
 deg F / k instead of deg F.  With k = 1 the whole resultant is one factor.
 
-The PRS runs over an abstract coefficient ring.  Inputs whose coefficients
-live in at most one remaining variable u are routed through dense integer-list
-arithmetic, which is where all the heavy elimination work lands; the general
-sparse-polynomial ring handles the rest.  On that integer path the u-exponents
-are first compressed to their lattice: when k > 1 divides every exponent, the
-PRS runs in s = u^k and the result is expanded back, which is exact because
-u -> u^k is an injective ring map and the resultant commutes with it.  The
-shorter, dense coefficient lists then go through the packed (Kronecker)
-products and 2-adic exact divisions of `realroots.dmul` and
-`realroots.ddiv_exact` once they reach KRONECKER_MIN terms.  A direct
+The remainder sequence itself runs on plain integers.  Every coefficient of
+A = sum A_i y^i and B = sum B_j y^j (primitive, integral, of degrees dA and
+dB >= 1 in y) is a polynomial in the remaining variables u_1, ..., u_n, and
+is mapped to one integer by evaluating it at a single Kronecker point:
+
+* Each live variable is first compressed to its exponent lattice: when k_v
+  divides every exponent of u_v, the PRS runs in s_v = u_v^(k_v), which is
+  exact because u_v -> u_v^(k_v) is an injective ring map that commutes
+  with the resultant.
+* Degrees.  Every term of the Sylvester determinant is a product of dB
+  coefficients of A and dA of B, so deg_v Res < D_v = dB max_i deg_v A_i +
+  dA max_j deg_v B_j + 1.  The map u_1 -> 2^W, u_2 -> 2^(W D_1),
+  u_3 -> 2^(W D_1 D_2), ... sends the monomials of such polynomials to
+  distinct powers 2^(W m), m < D_1 ... D_n.
+* Coefficients.  On the torus |u_v| = 1, Hadamard's inequality on the
+  Sylvester rows gives |Res| <= (sum_i ||A_i||_1^2)^(dB/2)
+  (sum_j ||B_j||_1^2)^(dA/2), and each coefficient of Res, an average of
+  Res u^-e over the torus, is bounded by the same number.  W is chosen so
+  that this bound is below 2^(W-1) (and rounded up to whole bytes), so the
+  image of Res has balanced base-2^W digits that are exactly its
+  coefficients; the bound also covers every input coefficient.
+* The map is a ring homomorphism, and the leading coefficients A_dA and
+  B_dB are nonzero polynomials of degrees below D_v with coefficients below
+  2^(W-1), so their images are nonzero (checked all the same): the
+  resultant of the images is the image of the resultant.
+
+The subresultant PRS computes the resultant of its integer inputs exactly
+over Z, whatever degree sequence it takes, so reading the balanced digits
+of its result (`realroots._unpack`) returns Res.  Its pseudo-remainder is
+`realroots.dprem`; its exact divisions are `realroots.dquo_exact`, which
+switches to a 2-adic quotient, checked by multiplying back, for the
+Mbit-sized integers of the largest eliminations.  A direct
 Sylvester-determinant evaluator is provided as an independent cross-check
 for small degrees.
 """
@@ -38,160 +60,38 @@ from math import gcd
 
 from .errors import DomainError
 from .polynomial import Polynomial
-from .realroots import dcompress, ddiv_exact, dexpand, dexponent_gcd, dmul, dneg, dsub
-
-# -- coefficient ring adapters --------------------------------------------------
+from .realroots import _pack, _unpack, dcompress, dexponent_gcd, dprem, dquo_exact
 
 
-class _IntListRing:
-    """Univariate integer polynomials as dense ascending lists."""
-
-    @staticmethod
-    def is_zero(c):
-        return not c
-
-    @staticmethod
-    def zero():
-        return []
-
-    @staticmethod
-    def one():
-        return [1]
-
-    @staticmethod
-    def mul(a, b):
-        return dmul(a, b)
-
-    @staticmethod
-    def sub(a, b):
-        return dsub(a, b)
-
-    @staticmethod
-    def neg(a):
-        return dneg(a)
-
-    @staticmethod
-    def pow(a, n):
-        out = [1]
-        for _ in range(n):
-            out = dmul(out, a)
-        return out
-
-    @staticmethod
-    def div_exact(a, b):
-        return ddiv_exact(a, b)
-
-    @staticmethod
-    def resultant(A, B, deadline):
-        """The PRS in s = u^k, k the gcd of every u-exponent of A and B."""
-        k = 0
-        for c in A + B:
-            k = dexponent_gcd(c, k)
-        res = _prs_resultant([dcompress(c, k) for c in A], [dcompress(c, k) for c in B],
-                             _IntListRing, deadline)
-        return None if res is None else dexpand(res, k)
-
-
-class _PolyRing:
-    """Sparse multivariate polynomials sharing a fixed variable tuple."""
-
-    def __init__(self, variables):
-        self.vars = tuple(variables)
-        self._one = Polynomial.const(1, self.vars)
-
-    @staticmethod
-    def is_zero(c):
-        return c.is_zero()
-
-    def zero(self):
-        return Polynomial.zero(self.vars)
-
-    def one(self):
-        return self._one
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def pow(a, n):
-        return a ** n
-
-    @staticmethod
-    def div_exact(a, b):
-        return a.exact_div(b)
-
-    def resultant(self, A, B, deadline):
-        return _prs_resultant(A, B, self, deadline)
-
-
-def _ring_prem(A, B, ring):
-    """Pseudo-remainder of coefficient lists: lc(B)^(dA-dB+1) A mod B."""
-    dB = len(B) - 1
-    lb = B[-1]
-    r = list(A)
-    steps = len(A) - len(B) + 1
-    while r and len(r) - 1 >= dB:
-        lead = r[-1]
-        r = [ring.mul(c, lb) for c in r]
-        shift = len(r) - 1 - dB
-        for i, cb in enumerate(B):
-            r[shift + i] = ring.sub(r[shift + i], ring.mul(lead, cb))
-        while r and ring.is_zero(r[-1]):
-            r.pop()
-        steps -= 1
-    if steps > 0 and r:
-        m = ring.pow(lb, steps)
-        r = [ring.mul(c, m) for c in r]
-    return r
-
-
-def _prs_resultant(A, B, ring, deadline=None):
-    """Subresultant PRS resultant of two coefficient lists over a ring.
-
-    Returns None for the zero result (common factor).  Lists must both be
-    nonzero; at least one must have positive degree.
-    """
+def _prs_resultant(A, B, deadline=None) -> int:
+    """Subresultant PRS resultant of two integer lists of positive degree (0: common factor)."""
     sign = 1
     if len(A) < len(B):
-        if ((len(A) - 1) * (len(B) - 1)) % 2 == 1:
+        if (len(A) - 1) * (len(B) - 1) % 2:
             sign = -sign
         A, B = B, A
-    if len(B) == 1:
-        res = ring.pow(B[0], len(A) - 1)
-        return ring.neg(res) if sign < 0 else res
-    g = ring.one()
-    h = ring.one()
+    g = h = 1
     while True:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("resultant computation exceeded its deadline")
         dA, dB = len(A) - 1, len(B) - 1
         delta = dA - dB
-        if dA % 2 == 1 and dB % 2 == 1:
+        if dA % 2 and dB % 2:
             sign = -sign
-        r = _ring_prem(A, B, ring)
+        r = dprem(A, B)
         if not r:
-            return None
-        divisor = ring.mul(g, ring.pow(h, delta))
-        A, B = B, [ring.div_exact(c, divisor) for c in r]
+            return 0
+        divisor = g * h ** delta
+        A, B = B, dquo_exact(r, divisor)
         g = A[-1]
         if delta == 1:
             h = g
         elif delta > 1:
-            h = ring.div_exact(ring.pow(g, delta), ring.pow(h, delta - 1))
-        if len(B) - 1 == 0:
+            h = dquo_exact([g ** delta], h ** (delta - 1))[0]
+        if len(B) == 1:
             break
     dA = len(A) - 1
-    res = ring.div_exact(ring.pow(B[0], dA), ring.pow(h, dA - 1))
-    return ring.neg(res) if sign < 0 else res
+    return sign * dquo_exact([B[0] ** dA], h ** (dA - 1))[0]
 
 
 # -- public entry points ----------------------------------------------------------
@@ -200,16 +100,13 @@ def _prs_resultant(A, B, ring, deadline=None):
 def resultant(f: Polynomial, g: Polynomial, var: str, deadline=None) -> Polynomial:
     """Sylvester resultant of f and g with respect to var.
 
-    Exact for rational coefficients: the product of resultant_factors, taken
-    in the coefficient ring the factors were computed in.
+    Exact for rational coefficients: the product of resultant_factors.
     """
-    ring, out, scale, factors = _factors(f, g, var, deadline)
     res = None
-    for c, e in factors:
-        p = ring.pow(c, e) if e > 1 else c
-        res = p if res is None else ring.mul(res, p)
-    res = out(res)
-    return res * scale if scale != 1 else res
+    for c, e in resultant_factors(f, g, var, deadline):
+        p = c ** e if e > 1 else c
+        res = p if res is None else res * p
+    return res
 
 
 def resultant_factors(f: Polynomial, g: Polynomial, var: str, deadline=None):
@@ -221,74 +118,91 @@ def resultant_factors(f: Polynomial, g: Polynomial, var: str, deadline=None):
     comes first as a constant factor when it is not 1; a zero resultant has
     a zero factor.
     """
-    _, out, scale, factors = _factors(f, g, var, deadline)
-    body = tuple((out(c), e) for c, e in factors)
-    head = ((Polynomial.const(scale, body[0][0].vars), 1),) if scale != 1 else ()
-    return head + body
-
-
-def _factors(f, g, var, deadline):
-    """(ring, to_polynomial, scale, [(factor, exponent), ...]).
-
-    Res_var(f, g) = scale * prod to_polynomial(factor)^exponent, where scale
-    is the rational content and the factors live in ring: dense integer lists
-    when the coefficients involve at most one variable.
-    """
     if f.is_zero() or g.is_zero():
         raise DomainError("resultant needs nonzero inputs")
     df, dg = f.degree(var), g.degree(var)
     if df == 0 and dg == 0:
         raise DomainError(f"both inputs have degree 0 in {var!r}")
     if df == 0 or dg == 0:
-        base, e = (f, dg) if df == 0 else (g, df)
-        return _PolyRing(base.vars), _same, 1, [(base, e)]
-    cf, cg = f.content(), g.content()
+        return ((f, dg),) if df == 0 else ((g, df),)
     A = f.primitive_part().as_univariate(var)
     B = g.primitive_part().as_univariate(var)
-    rest = A[0].vars
-    scale = cf ** dg * cg ** df
-    live = [v for v in rest if any(c.degree(v) > 0 for c in A + B)]
-    if len(live) <= 1:
-        u = live[0] if live else None
-        ring = _IntListRing
-        A, B = [c.dense(u) for c in A], [c.dense(u) for c in B]
-
-        def out(c):
-            return Polynomial.from_dense(c, u, rest)
-    else:
-        ring, out = _PolyRing(rest), _same
-    return ring, out, scale, _coset_factors(A, B, ring, deadline)
+    scale = f.content() ** dg * g.content() ** df
+    head = ((Polynomial.const(scale, A[0].vars), 1),) if scale != 1 else ()
+    return head + tuple(_coset_factors(A, B, deadline))
 
 
-def _same(c):
-    return c
-
-
-def _coset_factors(A, B, ring, deadline):
+def _coset_factors(A, B, deadline):
     """Res(A, B) of coefficient lists as [(factor, exponent), ...].
 
     A = y^a Q1(y^k), B = y^b Q2(y^k) with k the gcd of every exponent gap of
     both; for k > 1 the PRS runs on Q1, Q2 (see the module docstring).
     """
-    a = next(i for i, c in enumerate(A) if not ring.is_zero(c))
-    b = next(i for i, c in enumerate(B) if not ring.is_zero(c))
+    a = next(i for i, c in enumerate(A) if c)
+    b = next(i for i, c in enumerate(B) if c)
     if a and b:  # y divides both
-        return [(ring.zero(), 1)]
+        return [(Polynomial.zero(A[0].vars), 1)]
     # gcd(0, k2) = k2 when A[a:] is a monomial; both cannot be, since a b = 0,
     # so k >= 1
     k = gcd(dexponent_gcd(A[a:]), dexponent_gcd(B[b:]))
     factors = []
     if k > 1:
         if b:  # Res(A, y) = (-1)^deg A A(0)
-            factors.append((ring.neg(A[0]) if (len(A) - 1) % 2 else A[0], b))
+            factors.append((-A[0] if (len(A) - 1) % 2 else A[0], b))
         if a:  # Res(y, B) = B(0)
             factors.append((B[0], a))
         A, B = dcompress(A[a:], k), dcompress(B[b:], k)
-    res = ring.resultant(A, B, deadline)
-    if res is None:
-        return [(ring.zero(), 1)]
-    factors.append((res, k))
+    if len(A) == 1 or len(B) == 1:  # Res(c, B) = c^deg B, Res(A, c) = c^deg A
+        c, e = (A[0], len(B) - 1) if len(A) == 1 else (B[0], len(A) - 1)
+        factors.append((c ** e, k))
+    else:
+        factors.append((_one_point_resultant(A, B, deadline), k))
     return factors
+
+
+def _one_point_resultant(A, B, deadline) -> Polynomial:
+    """Res(A, B) of integral coefficient lists of positive degree, by one integer PRS.
+
+    The coefficients are evaluated at the Kronecker point of the module
+    docstring, and the result is read back from its balanced base-2^W digits.
+    """
+    variables = A[0].vars
+    dA, dB = len(A) - 1, len(B) - 1
+    n = len(variables)
+    lattice, top_a, top_b = [0] * n, [0] * n, [0] * n
+    for coeffs, top in ((A, top_a), (B, top_b)):
+        for c in coeffs:
+            for e in c.terms:
+                for v, x in enumerate(e):
+                    if x:
+                        lattice[v] = gcd(lattice[v], x)
+                        top[v] = max(top[v], x)
+    live = [v for v in range(n) if lattice[v]]
+    strides, bounds, size = {}, {}, 1
+    for v in live:
+        strides[v] = size
+        bounds[v] = (dB * top_a[v] + dA * top_b[v]) // lattice[v] + 1
+        size *= bounds[v]
+    norms_a = sum(sum(map(abs, c.terms.values())) ** 2 for c in A)
+    norms_b = sum(sum(map(abs, c.terms.values())) ** 2 for c in B)
+    # |every coefficient| <= norms_a^(dB/2) norms_b^(dA/2) < 2^(w-1)
+    nbytes = (dB * norms_a.bit_length() + dA * norms_b.bit_length() + 1) // 2 // 8 + 1
+
+    def at_point(c):
+        slots = {sum(e[v] // lattice[v] * strides[v] for v in live): x for e, x in c.terms.items()}
+        return _pack([slots.get(i, 0) for i in range(max(slots, default=0) + 1)], nbytes)
+
+    A, B = [at_point(c) for c in A], [at_point(c) for c in B]
+    if not (A[-1] and B[-1]):
+        raise ArithmeticError("a leading coefficient vanishes at the Kronecker point")
+    terms = {}
+    for i, x in enumerate(_unpack(_prs_resultant(A, B, deadline), size, nbytes)):
+        if x:
+            e = [0] * n
+            for v in live:
+                e[v] = i // strides[v] % bounds[v] * lattice[v]
+            terms[tuple(e)] = x
+    return Polynomial(variables, terms)
 
 
 def sylvester_matrix(f: Polynomial, g: Polynomial, var: str):

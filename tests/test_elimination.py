@@ -281,6 +281,43 @@ def test_delta5_elimination_pinned():
     assert zlib.crc32(payload.encode()) == 3561718772
 
 
+def test_delta6_elimination_pinned():
+    # its outer resultants divide integers of up to 1.2 Mbit by 0.76 Mbit: the
+    # 2-adic quotients at scale
+    result = eliminate_to_t(meta_system(6, HeightFunction.rho(6)), refine=2)
+    payload = json.dumps(result.to_json(), sort_keys=True)
+    assert zlib.crc32(payload.encode()) == 2862021745
+
+
+def test_candidates_keep_only_roots_inside_the_window():
+    # the unrefined interval (0, 143) of the least positive root (about
+    # 0.99997) overlaps (0, 0.9999] but its root does not lie there
+    result = delta5_elimination()
+    assert result.real_root_candidates(0, Q(9999, 10000), include_zero=False) == []
+    inside = result.real_root_candidates(0, 1, include_zero=False)
+    assert len(inside) == 1 and inside[0].lo < 1 < inside[0].hi
+    assert result.real_root_candidates(0, 1) == inside  # t = 0 lies outside (0, 1]
+    assert result.real_root_candidates(include_zero=False) == \
+        result.real_root_candidates(None, None, include_zero=False)
+
+
+def test_candidates_window_is_half_open():
+    # E = (t - 2)(2t - 7): the exact point 2 belongs to (lo, 2] and not to (2, hi]
+    result = eliminate_to_t(two_root_system(), refine=2)
+    point = IsolatingInterval(Q(2), Q(2))
+    assert result.real_root_candidates(1, 2) == [point]
+    assert result.real_root_candidates(0, Q(5, 2)) == [point]
+    assert result.real_root_candidates(2, 3) == []
+    # 7/2 is isolated by (13/4, 9/2): a window ending at 7/2 keeps it, one
+    # starting there does not
+    (seven_halves,) = result.real_root_candidates(2, 4)
+    assert (seven_halves.lo, seven_halves.hi) == (Q(13, 4), Q(9, 2))
+    assert result.real_root_candidates(3, Q(7, 2)) == [seven_halves]
+    assert result.real_root_candidates(Q(13, 4), Q(7, 2)) == [seven_halves]
+    assert result.real_root_candidates(Q(7, 2), 9) == []
+    assert result.real_root_candidates(0, Q(13, 4)) == [point]
+
+
 def test_certificate_keeps_only_candidates_inside_the_window():
     # the least positive root of E is about 0.99997: its unrefined isolating
     # interval (0, 143) overlaps (0, 0.9999] but its root does not lie there

@@ -9,9 +9,10 @@ import pytest
 
 from wronski import realroots
 from wronski.polynomial import Polynomial
-from wronski.realroots import (CERTIFICATE_PRIMES, KRONECKER_MIN, _inverse_2adic, _is_prime,
-                               _kdiv_exact, _primes, dcompress, ddiv_exact, dexpand,
-                               dexponent_gcd, dgcd, dmul, dneg, dprem, dprimitive, dstrip)
+from wronski.realroots import (CERTIFICATE_PRIMES, KRONECKER_MIN, QUOTIENT_2ADIC_BITS,
+                               _inverse_2adic, _is_prime, _kdiv_exact, _primes, dcompress,
+                               ddiv_exact, dexpand, dexponent_gcd, dgcd, dmul, dneg, dprem,
+                               dprimitive, dquo_exact, dstrip)
 from wronski.resultants import resultant, sylvester_resultant
 
 SIZES = (1, 8, KRONECKER_MIN - 1, KRONECKER_MIN, KRONECKER_MIN + 1, 61, 130)
@@ -145,6 +146,87 @@ def test_division_undoes_multiplication_property():
         assert ddiv_exact(p, b) == a
 
     check()
+
+
+# -- exact integer quotients ---------------------------------------------------------
+
+
+CUT = QUOTIENT_2ADIC_BITS
+
+
+def inverses(monkeypatch):
+    """The precisions of the 2-adic inverses dquo_exact takes, in order."""
+    seen = []
+    inverse = realroots._inverse_2adic
+
+    def recorded(b, nbits):
+        seen.append(nbits)
+        return inverse(b, nbits)
+
+    monkeypatch.setattr(realroots, "_inverse_2adic", recorded)
+    return seen
+
+
+def big(rng, bits):
+    """A signed integer of exactly the given bit length."""
+    return rng.choice([-1, 1]) * (rng.getrandbits(bits - 1) | 1 << (bits - 1))
+
+
+@pytest.mark.parametrize("qbits, dbits, two_adic", [
+    (CUT - 3, CUT + 500, False),   # the quotient just below the cut
+    (CUT - 1, CUT + 500, True),    # nq = qbits + 1 or + 2 reaches it
+    (CUT + 500, CUT - 1, False),   # the divisor just below the cut
+    (CUT + 500, CUT, True),
+    (3 * CUT, 2 * CUT, True),
+    (40, 5 * CUT, False),
+])
+def test_exact_quotient_on_both_sides_of_the_cut(monkeypatch, qbits, dbits, two_adic):
+    seen = inverses(monkeypatch)
+    rng = random.Random(qbits + 7 * dbits)
+    for shift in (0, 1, 17, 33):  # divisors of dbits bits carrying a power of two
+        d = big(rng, dbits - shift) << shift
+        qs = [big(rng, qbits), -big(rng, qbits), 0, big(rng, qbits // 2 + 1), 1, -1]
+        assert dquo_exact([q * d for q in qs], d) == qs
+    assert bool(seen) == two_adic
+    assert len(seen) in (0, 4)  # one inverse serves every entry
+
+
+@pytest.mark.parametrize("cut", [CUT, 64])
+def test_exact_quotient_undoes_the_product_property(monkeypatch, cut):
+    # with the cut lowered to 64 bits most draws take the 2-adic path
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    monkeypatch.setattr(realroots, "QUOTIENT_2ADIC_BITS", cut)
+    # integers of up to cut + 200 bits, drawn by bit length and seed
+    wide = st.builds(lambda bits, seed, sign: sign * random.Random(seed).getrandbits(bits),
+                     st.integers(1, cut + 200), st.integers(0, 2 ** 32), st.sampled_from([-1, 1]))
+    entry = st.one_of(st.integers(-3, 3), wide)
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(st.lists(entry, min_size=1, max_size=5), wide.filter(bool),
+               st.integers(0, 90))
+    def check(qs, d, shift):
+        d <<= shift
+        assert dquo_exact([q * d for q in qs], d) == qs
+
+    check()
+
+
+@pytest.mark.parametrize("bits", [200, CUT + 200])
+def test_inexact_quotient_raises(bits):
+    rng = random.Random(bits)
+    d, q = big(rng, bits), big(rng, bits)
+    for bad in (q * d + 1, q * d - d // 2, q * d + (1 << (bits // 2))):
+        with pytest.raises(ValueError):
+            dquo_exact([bad], d)
+        with pytest.raises(ValueError):
+            dquo_exact([q * d, bad, -q * d], d)  # one inexact entry among exact ones
+    with pytest.raises(ValueError):
+        dquo_exact([(2 * q + 1) * d], 2 * d)  # the divisor's power of two does not divide
+    with pytest.raises(ValueError):
+        dquo_exact([q * d], d << 5)
+    with pytest.raises(ZeroDivisionError):
+        dquo_exact([q], 0)
 
 
 # -- the modular gcd -------------------------------------------------------------------

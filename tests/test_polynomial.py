@@ -68,15 +68,6 @@ def test_content_primitive():
     assert g.content() == 1
 
 
-def test_exact_div():
-    f = P({(2, 0): 1, (0, 2): -1})
-    g = P({(1, 0): 1, (0, 1): 1})
-    q = f.exact_div(g)
-    assert q * g == f
-    with pytest.raises(ValueError):
-        P({(2, 0): 1, (0, 0): 1}).exact_div(g)
-
-
 def test_univariate_views():
     f = P({(2, 1): 3, (0, 1): 1, (1, 0): 2})
     coeffs = f.as_univariate("x")
@@ -132,20 +123,6 @@ def _random_poly(stream, deg=2, vars_=V):
             if c and stream.int_in(0, 1):
                 terms[(i, j)] = Fraction(c, stream.int_in(1, 5))
     return Polynomial(vars_, terms)
-
-
-def test_exact_div_fuzz_roundtrip():
-    from wronski.rng import Stream
-
-    stream = Stream(0xD1F)
-    done = 0
-    while done < 40:
-        q = _random_poly(stream)
-        g = _random_poly(stream)
-        if g.is_zero() or q.is_zero():
-            continue
-        assert (q * g).exact_div(g) == q
-        done += 1
 
 
 def test_substitute_composes_with_evaluation():

@@ -1,8 +1,11 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from wronski import resultants
 from wronski.errors import DomainError
 from wronski.polynomial import Polynomial
 from wronski.resultants import resultant, resultant_factors, sylvester_matrix, sylvester_resultant
@@ -231,3 +234,88 @@ def test_coset_resultant_matches_sympy_on_delta3_projections(height):
         assert not ours.is_zero()
         expected = sympy.resultant(to_sympy(P1), to_sympy(P2), sympy.Symbol("y"))
         assert sympy.expand(expected - to_sympy(ours)) == 0
+
+
+# -- the one-point integer PRS ----------------------------------------------------------
+
+
+def _counted_one_point(monkeypatch):
+    calls = []
+    one_point = resultants._one_point_resultant
+
+    def counted(A, B, deadline):
+        calls.append((len(A) - 1, len(B) - 1))
+        return one_point(A, B, deadline)
+
+    monkeypatch.setattr(resultants, "_one_point_resultant", counted)
+    return calls
+
+
+@pytest.mark.parametrize("live", [0, 1, 2, 3])
+def test_one_point_resultant_matches_sylvester_property(monkeypatch, live):
+    # coefficients in `live` of the variables r, s, t, each on its own lattice
+    # k in {1, 2, 3}, with negative coefficients; y is eliminated
+    calls = _counted_one_point(monkeypatch)
+    vars_ = ("r", "s", "t", "y")
+    rng = random.Random(0x1E7 + live)
+    for trial in range(25):
+        lattice = [rng.choice([1, 2, 3]) for _ in range(live)] + [0] * (3 - live)
+
+        def coefficient():
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                e = tuple(k * rng.randint(0, 2) for k in lattice)
+                terms[e] = rng.choice([-7, -3, -2, -1, 1, 2, 5, 9])
+            return terms
+
+        def rand_y(dy):
+            out = {}
+            for j in range(dy + 1):
+                if j == dy or rng.random() < 0.8:
+                    for e, c in coefficient().items():
+                        out[e + (j,)] = c
+            return Polynomial(vars_, out)
+
+        da = rng.randint(1, 3)
+        f, g = rand_y(da), rand_y(rng.randint(1, 6 - da))
+        assert resultant(f, g, "y") == sylvester_resultant(f, g, "y"), (live, trial)
+    assert len(calls) >= 20
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (2, 3), (5, 2), (2, 4), (6, 9)])
+def test_one_point_degree_bound_is_attained(monkeypatch, a, b):
+    # Res_y(t^a + y, 1 + t^b y) = 1 - t^(a+b): its top term sits in the last
+    # slot D - 1 = a + b of the compressed lattice (D = dB a + dA b + 1)
+    sizes = []
+    unpack = resultants._unpack
+
+    def recorded(x, n, nbytes):
+        sizes.append(n)
+        return unpack(x, n, nbytes)
+
+    monkeypatch.setattr(resultants, "_unpack", recorded)
+    t = Polynomial.variable("t", ("t", "y"))
+    y = Polynomial.variable("y", ("t", "y"))
+    f, g = t ** a + y, 1 + t ** b * y
+    r = resultant(f, g, "y")
+    assert r == 1 - t ** (a + b) == sylvester_resultant(f, g, "y")
+    k = math.gcd(a, b)
+    assert sizes == [(a + b) // k + 1]
+
+
+def test_one_point_prs_honours_a_past_deadline():
+    TY = ("t", "y")
+    f = Polynomial(TY, {(0, 3): 1, (1, 1): 2, (0, 0): -1})
+    g = Polynomial(TY, {(0, 2): 3, (2, 0): 1})
+    with pytest.raises(TimeoutError) as info:
+        resultant(f, g, "y", deadline=time.monotonic() - 1)
+    assert info.traceback[-1].name == "_prs_resultant"
+    assert resultant(f, g, "y", deadline=time.monotonic() + 60) == sylvester_resultant(f, g, "y")
+
+
+def test_one_point_refuses_a_vanishing_leading_coefficient(monkeypatch):
+    # cannot happen for the chosen point; the guard is exercised by forcing it
+    monkeypatch.setattr(resultants, "_pack", lambda a, nbytes: 0)
+    TY = ("t", "y")
+    with pytest.raises(ArithmeticError):
+        resultant(Polynomial(TY, {(1, 1): 1, (0, 0): 1}), Polynomial(TY, {(0, 2): 1, (1, 0): 1}), "y")
