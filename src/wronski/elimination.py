@@ -79,7 +79,7 @@ def _t_content(p: Polynomial):
                 e = [0] * len(p.vars)
                 e[ti], e[ui] = k, ue
                 terms[tuple(e)] = c
-    return Polynomial(p.vars, terms), UnivariatePolynomial.from_int_list(g)
+    return Polynomial(p.vars, terms), UnivariatePolynomial(g)
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ def _compressed_squarefree(ints, deadline=None):
     compressed domain makes the gcd with the derivative g^2 times cheaper.
     """
     g = dexponent_gcd(ints)
-    sf = UnivariatePolynomial.from_int_list(dcompress(ints, g)).squarefree_part(deadline)
+    sf = UnivariatePolynomial(dcompress(ints, g)).squarefree_part(deadline)
     return dexpand(sf.coeffs, g)
 
 
@@ -307,7 +307,7 @@ def eliminate_to_t(system: MetaSystem, refine: int = 0, seed: int = 0,
         other_sf = _compressed_squarefree(_squarefree_operand(extra_factors, contents), deadline)
         refined_degrees.append(len(other_sf) - 1)
         sf = _compressed_gcd(sf, other_sf, deadline)
-    E = UnivariatePolynomial.from_int_list(sf)
+    E = UnivariatePolynomial(sf)
     contents = [pr.content for pr in projections if pr.content.degree() > 0]
     t_power_removed = k3 + sum(pr.t_power for pr in projections)
     return EliminationResult(
@@ -517,7 +517,7 @@ def boundary_check(system: MetaSystem):
         g = []
         for c in candidates:
             g = dgcd(g, c) if g else dprimitive(c)
-        G = UnivariatePolynomial.from_int_list(g)
+        G = UnivariatePolynomial(g)
         if G.degree() <= 0:
             status, ivs = "infeasible", ()
         else:

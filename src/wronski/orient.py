@@ -74,11 +74,11 @@ def epsilon_vectors(system: FacetSystem):
     return [tuple([b % 2] + [c % 2 for c in u]) for u, b in system.rows]
 
 
-def gf2_solve_all_ones(rows, width: int):
-    """Solve phi . row = 1 over GF(2) for every row; None when unsolvable.
+def _gf2_reduce(rows, width: int, rhs: int):
+    """Gauss-Jordan elimination over GF(2) of bit rows, each augmented by rhs.
 
-    Rows are bit tuples of the given width.  Returns the particular solution
-    with all free variables zero.
+    Returns the reduced rows as masks (bit k for column k, bit width for the
+    right-hand side) and {column: row} of the pivots, whose rows come first.
     """
     work = []
     for r in rows:
@@ -86,7 +86,7 @@ def gf2_solve_all_ones(rows, width: int):
         for k, bit in enumerate(r):
             if bit & 1:
                 mask |= 1 << k
-        work.append(mask | (1 << width))  # augmented bit: rhs 1
+        work.append(mask | (rhs << width))
     pivot_of_col = {}
     row_idx = 0
     for col in range(width):
@@ -103,9 +103,18 @@ def gf2_solve_all_ones(rows, width: int):
                 work[r] ^= work[row_idx]
         pivot_of_col[col] = row_idx
         row_idx += 1
-    for r in range(row_idx, len(work)):
-        if work[r]:  # 0 = 1: inconsistent
-            return None
+    return work, pivot_of_col
+
+
+def gf2_solve_all_ones(rows, width: int):
+    """Solve phi . row = 1 over GF(2) for every row; None when unsolvable.
+
+    Rows are bit tuples of the given width.  Returns the particular solution
+    with all free variables zero.
+    """
+    work, pivot_of_col = _gf2_reduce(rows, width, 1)
+    if any(work[len(pivot_of_col):]):  # 0 = 1: inconsistent
+        return None
     phi = [0] * width
     for col, r in pivot_of_col.items():
         phi[col] = (work[r] >> width) & 1
@@ -113,28 +122,7 @@ def gf2_solve_all_ones(rows, width: int):
 
 
 def gf2_rank(rows, width: int) -> int:
-    work = []
-    for r in rows:
-        mask = 0
-        for k, bit in enumerate(r):
-            if bit & 1:
-                mask |= 1 << k
-        work.append(mask)
-    rank = 0
-    for col in range(width):
-        pivot = None
-        for r in range(rank, len(work)):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for r in range(len(work)):
-            if r != rank and ((work[r] >> col) & 1):
-                work[r] ^= work[rank]
-        rank += 1
-    return rank
+    return len(_gf2_reduce(rows, width, 0)[1])
 
 
 def orientation_witness(system: FacetSystem):

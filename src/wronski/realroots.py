@@ -13,12 +13,12 @@ of it shares one gcd, and each polynomial is isolated once.
   below).  The primes are CERTIFICATE_PRIMES, then the primes below 2^61 - 1
   in descending order, found on demand by deterministic Miller-Rabin;
   nothing is computed at import.
-* Squarefree test.  `is_squarefree` first reduces the primitive integer
-  polynomial modulo the first prime of CERTIFICATE_PRIMES that does not
-  divide its leading coefficient and runs the same Euclid in F_p[x] with the
-  derivative.  A unit gcd proves squarefreeness over Q, and the primitive
-  polynomial is kept as its own squarefree part; any other outcome falls
-  back to the exact gcd, so a "no" is always decided exactly.
+* Squarefree part.  `squarefree_part` is the cofactor of the modular gcd
+  of the primitive polynomial and its derivative, and `is_squarefree`
+  compares its degree.  The first prime not dividing the leading coefficient
+  usually gives a unit image, which proves squarefreeness over Q at once and
+  keeps the primitive polynomial as its own squarefree part; any other
+  outcome is decided by the exact gcd.
 * Counting.  `count_real_roots` runs Descartes-rule bisection
   (Collins-Akritas) on the squarefree part in integer arithmetic alone:
   x = 0 is taken apart, each half-line is mapped into (0, 1) by a
@@ -39,12 +39,12 @@ of it shares one gcd, and each polynomial is isolated once.
 The integer-list kernels `dmul` and `ddiv_exact` switch on operand length
 alone: below KRONECKER_MIN terms they run the schoolbook loops; from there on
 the operands are packed into single integers (Kronecker substitution) and
-multiplied by CPython's C big-integer arithmetic, and quotients come from a
-2-adic exact division that is accepted only after multiplying back to the
-dividend exactly; an inexact division still raises ValueError.  Integer
-quotients (`dquo_exact`, the exact divisions of the resultant PRS) switch on
-size the same way, from `divmod` to a 2-adic quotient checked by
-multiplying back.
+multiplied by CPython's C big-integer arithmetic.  Integer quotients
+(`dquo_exact`) switch on size: `divmod` while the quotient or the divisor
+is below QUOTIENT_2ADIC_BITS, a 2-adic quotient (Jebelean) from there on,
+each checked.  It serves both the exact divisions of the resultant PRS and
+the packed polynomial quotient, which is accepted only after multiplying
+back to the dividend exactly; an inexact division raises ValueError.
 """
 
 from __future__ import annotations
@@ -109,9 +109,10 @@ def dprimitive(a):
 def ddiv_exact(a, b):
     """Exact division of integer polynomials; raises ValueError if not exact.
 
-    Long operands go through the packed 2-adic quotient, which is returned
-    only after multiplying back to a; otherwise (or when that check fails)
-    the schoolbook loop decides.
+    Long operands go through one integer quotient of the packed operands
+    (`dquo_exact`): an inexact one raises at once, and an exact one is
+    returned only after multiplying back to a; otherwise (or when that check
+    fails) the schoolbook loop decides.
     """
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
@@ -234,19 +235,6 @@ def _kmul(a, b):
     return dstrip(_unpack(x * y, len(a) + len(b) - 1, nbytes))
 
 
-def _pack_wide(a, nbytes: int) -> int:
-    """a(2^w) for w = 8 nbytes, with coefficients of any size.
-
-    A coefficient spanning m slots overlaps its neighbours, so the list is
-    packed as m interleaved sublists with slots m times wider.
-    """
-    w = 8 * nbytes
-    m = (_maxbits(a) + w) // w
-    if m == 1:
-        return _pack(a, nbytes)
-    return sum(_pack(a[r::m], m * nbytes) << (w * r) for r in range(m))
-
-
 def _inverse_2adic(b: int, nbits: int) -> int:
     """b^-1 modulo 2^nbits for odd b, by Newton (Hensel) lifting."""
     precisions = []
@@ -299,38 +287,22 @@ def dquo_exact(a, d: int):
 
 
 def _kdiv_exact(a, b):
-    """a / b by 2-adic exact division of the packed operands, or None.
+    """a / b from one integer quotient of the packed operands, or None.
 
-    With q = a / b exact, q(2^w) = a(2^w) / b(2^w) as integers, and its low
-    w n_q bits, read as balanced slots, are the coefficients of q when each
-    fits in a slot.  Those bits follow from the low n_q + 1 coefficients of a
-    and b alone: strip the common power of x, then the power of 2 dividing
-    b(2^w), and multiply by the 2-adic inverse of the odd rest (Jebelean's
-    exact division).  The first slot width guesses bits(q) from bits(a) -
-    bits(b); the second holds any exact quotient (Mignotte: |q| <= 2^deg q
-    ||a||_2).  A quotient is returned only when multiplying it back gives a,
-    so nothing is assumed; None means no candidate passed.
+    With q = a / b exact, q(2^w) = a(2^w) / b(2^w), and the balanced base-2^w
+    digits of that quotient are the coefficients of q when each fits in a
+    slot.  The slot also holds every coefficient of a and b, so both pack.
+    The first slot width guesses bits(q) from bits(a) - bits(b); the second
+    holds any exact quotient (Mignotte: |q| <= 2^deg q ||a||_2).  b | a
+    implies b(2^w) | a(2^w), so an inexact integer quotient raises ValueError
+    at once; a quotient is returned only when multiplying it back gives a,
+    so nothing is assumed, and None means no candidate passed.
     """
-    z = 0
-    while b[z] == 0:
-        z += 1
-    if any(a[:z]):
-        return None
-    if z:
-        a, b = a[z:], b[z:]
     nq = len(a) - len(b) + 1
-    low_a, low_b = a[:nq + 1], b[:nq + 1]
-    bits_a = _maxbits(a)
-    v = (b[0] & -b[0]).bit_length() - 1  # 2-adic valuation of b(2^w) when below w
-    for qbits in (bits_a - _maxbits(b) + 8, bits_a + nq + len(a).bit_length()):
-        nbytes = max(qbits, 0) // 8 + 1  # |q_i| < 2^qbits <= 2^(w-1)
-        if v >= 8 * nbytes:
-            continue
-        nbits = 8 * nbytes * nq
-        A, B = _pack_wide(low_a, nbytes), _pack_wide(low_b, nbytes)
-        if A & ((1 << v) - 1):
-            return None
-        Q = ((A >> v) * _inverse_2adic(B >> v, nbits)) & ((1 << nbits) - 1)
+    bits_a, bits_b = _maxbits(a), _maxbits(b)
+    for qbits in (bits_a - bits_b + 8, bits_a + nq + len(a).bit_length()):
+        nbytes = max(qbits, bits_a, bits_b) // 8 + 1  # every |coefficient| < 2^(w-1)
+        [Q] = dquo_exact([_pack(a, nbytes)], _pack(b, nbytes))
         q = _unpack(Q, nq, nbytes)
         if q[-1] and _kmul(q, b) == a:
             return q
@@ -344,9 +316,9 @@ def _kdiv_exact(a, b):
 # (lc(g) divides lc(a), so p does not divide it).  Hence the gcd in F_p[x] has
 # degree at least deg gcd(a, b), with equality for all but finitely many p.
 #
-# * Squarefree certificate.  With b = a', a repeated factor h^2 of a would put
-#   h mod p into the gcd, so a unit gcd modulo p proves a squarefree over Q.
-#   Any other outcome decides nothing.
+# * Unit images.  A unit gcd modulo p proves gcd(a, b) = 1, and a is its own
+#   cofactor.  With b = a', a repeated factor h^2 of a would put h mod p into
+#   the gcd, so this certifies a squarefree over Q at the first prime.
 # * Modular gcd (Brown 1971; Collins).  The images of least degree, each
 #   scaled to leading coefficient gcd(lc a, lc b), are combined by the Chinese
 #   remainder theorem into symmetric residues; an image of higher degree comes
@@ -417,17 +389,6 @@ def _gcd_mod_p(a, b, p: int):
     return a
 
 
-def _squarefree_mod_p(ints) -> bool:
-    """Whether ints is certified squarefree over Q modulo the first prime of
-    CERTIFICATE_PRIMES not dividing its leading coefficient; False decides nothing.
-    """
-    p = next((q for q in CERTIFICATE_PRIMES if ints[-1] % q), None)
-    if p is None:
-        return False
-    a = [c % p for c in ints]
-    return len(_gcd_mod_p(a, [k * c % p for k, c in enumerate(a)][1:], p)) == 1
-
-
 def _quotient(a, g):
     """a / g over Z by exact division, or None when g does not divide a.
 
@@ -452,19 +413,18 @@ def dgcd(a, b, deadline=None):
     (a time.monotonic() value), it is checked before each prime and
     TimeoutError raised once it has passed.
     """
+    a, b = dstrip(dprimitive(a)), dstrip(dprimitive(b))
+    if not a or not b:
+        g = a or b
+        return dneg(g) if g and g[-1] < 0 else g
     return _gcd_cofactor(a, b, deadline)[0]
 
 
 def _gcd_cofactor(a, b, deadline=None):
-    """(G, a / G) for G = dgcd(a, b), with a made primitive first.
+    """(G, a / G) for G = dgcd(a, b), a primitive and b nonzero, both stripped.
 
     The cofactor is the quotient the acceptance check has already formed.
     """
-    a, b = dstrip(dprimitive(a)), dstrip(dprimitive(b))
-    if not a or not b:
-        g = a or b
-        g = dneg(g) if g and g[-1] < 0 else g
-        return g, [a[-1] // g[-1]] if a else []
     if len(a) == 1 or len(b) == 1:
         return [1], a
     gamma = gcd(a[-1], b[-1])
@@ -580,32 +540,23 @@ class UnivariatePolynomial:
     def squarefree_part(self, deadline=None) -> "UnivariatePolynomial":
         """Primitive squarefree part, positive leading coefficient; kept once computed.
 
-        The gcd with the derivative raises TimeoutError past the deadline.
+        It is the cofactor of gcd(p, p'); a unit image of that gcd modulo a
+        prime certifies p squarefree, and the primitive p is its own
+        squarefree part.  The gcd raises TimeoutError past the deadline.
         """
         if self._sf is None:
             ints = self.int_primitive()
             if len(ints) <= 1:
-                sf = UnivariatePolynomial.from_int_list(ints and [1])
+                sf = UnivariatePolynomial(ints and [1])
             else:
                 deriv = dstrip([k * c for k, c in enumerate(ints)][1:])
-                sf = UnivariatePolynomial.from_int_list(_gcd_cofactor(ints, deriv, deadline)[1])
+                sf = UnivariatePolynomial(_gcd_cofactor(ints, deriv, deadline)[1])
             sf._sf = sf
             self._sf = sf
         return self._sf
 
     def is_squarefree(self) -> bool:
-        """Whether the polynomial has no repeated factor.
-
-        A squarefree reduction modulo a prime certifies "yes" at once and
-        keeps the primitive polynomial as its own squarefree part; any other
-        case is decided by the exact gcd of squarefree_part().
-        """
-        if self._sf is None:
-            ints = self.int_primitive()
-            if ints and _squarefree_mod_p(ints):
-                sf = UnivariatePolynomial.from_int_list(ints)
-                sf._sf = sf
-                self._sf = sf
+        """Whether the polynomial has no repeated factor."""
         return _squarefree(self).degree() == self.degree()
 
 
@@ -858,7 +809,7 @@ def _isolate(p: UnivariatePolynomial, deadline):
     while True:
         if len(q) <= 1:
             break
-        bound = root_bound(UnivariatePolynomial.from_int_list(q))
+        bound = root_bound(UnivariatePolynomial(q))
         while _sign_at(q, bound) == 0 or _sign_at(q, -bound) == 0:
             bound += 1
         breaks = sorted(set([-bound, Fraction(0), bound] + found_points))
@@ -894,33 +845,43 @@ def _isolate(p: UnivariatePolynomial, deadline):
         intervals = pending
         break
 
+    # the bracketed root is strictly interior, so bisecting until no other
+    # root of sf sits on an endpoint terminates, and the closed interval then
+    # contains exactly one root of sf
+    def clear(lo, hi):
+        return _sign_at(sf.coeffs, lo) != 0 and _sign_at(sf.coeffs, hi) != 0
+
     out = [IsolatingInterval(r, r, was_squarefree) for r in found_points]
-    out.extend(_with_interior_endpoints(sf.coeffs, lo, hi, was_squarefree, deadline)
+    out.extend(IsolatingInterval(*_bisect(sf.coeffs, lo, hi, clear, deadline, "root isolation"),
+                                 was_squarefree)
                for lo, hi in intervals)
     out.sort(key=lambda iv: (iv.lo, iv.hi))
     return out
 
 
-def _with_interior_endpoints(sf, lo, hi, flag, deadline) -> IsolatingInterval:
-    """Shrink (lo, hi) until no other root of sf sits on an endpoint.
+def _bisect(sf, lo, hi, done, deadline, what):
+    """(lo, hi) halved until done(lo, hi), or (r, r) once a midpoint r is the root.
 
-    The bracketed root is strictly interior, so bisecting with the polynomial
-    whose endpoint roots are divided out terminates with nonroot endpoints
-    and the closed interval then contains exactly one root of sf.
+    (lo, hi) brackets one root of sf strictly inside.  Other roots of sf on
+    an endpoint are divided out first, so the sign at each midpoint picks the
+    half holding the root.  With a deadline, each step checks it and raises
+    TimeoutError, naming what, once it has passed.
     """
     q = _drop_roots_at(sf, (lo, hi))
     slo = _sign_at(q, lo)
-    while _sign_at(sf, lo) == 0 or _sign_at(sf, hi) == 0:
-        _check_deadline(deadline, "root isolation")
+    if slo == 0:
+        raise DomainError("interval endpoint is a root; isolation broken")
+    while not done(lo, hi):
+        _check_deadline(deadline, what)
         mid = (lo + hi) / 2
         v = _sign_at(q, mid)
         if v == 0:
-            return IsolatingInterval(mid, mid, flag)
+            return mid, mid
         if v == slo:
             lo = mid
         else:
             hi = mid
-    return IsolatingInterval(lo, hi, flag)
+    return lo, hi
 
 
 def refine_interval(p: UnivariatePolynomial, interval: IsolatingInterval,
@@ -932,23 +893,8 @@ def refine_interval(p: UnivariatePolynomial, interval: IsolatingInterval,
     """
     if interval.is_point:
         return interval
-    lo, hi = interval.lo, interval.hi
-    # other roots of p sitting exactly on an endpoint are divided out; the
-    # bracketed root itself is strictly interior
-    q = _drop_roots_at(_squarefree(p, deadline).coeffs, (lo, hi))
-    slo = _sign_at(q, lo)
-    if slo == 0:
-        raise DomainError("interval endpoint is a root; isolation broken")
-    while hi - lo > width:
-        _check_deadline(deadline, "interval refinement")
-        mid = (lo + hi) / 2
-        v = _sign_at(q, mid)
-        if v == 0:
-            return IsolatingInterval(mid, mid, interval.multiplicity_free)
-        if v == slo:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(_squarefree(p, deadline).coeffs, interval.lo, interval.hi,
+                     lambda lo, hi: hi - lo <= width, deadline, "interval refinement")
     return IsolatingInterval(lo, hi, interval.multiplicity_free)
 
 

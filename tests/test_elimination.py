@@ -131,7 +131,7 @@ def _no_common_real_zero_of_triple(f0, f1, f2):
         return not (A.is_zero() or B.is_zero())
     ua = UnivariatePolynomial([c.constant_value() for c in A.as_univariate("x")])
     ub = UnivariatePolynomial([c.constant_value() for c in B.as_univariate("x")])
-    g = UnivariatePolynomial.from_int_list(dgcd(ua.int_primitive(), ub.int_primitive()))
+    g = UnivariatePolynomial(dgcd(ua.int_primitive(), ub.int_primitive()))
     return g.degree() == 0 or count_real_roots(g) == 0
 
 
@@ -183,7 +183,7 @@ def test_squarefree_and_gcd_passes_honor_deadline():
     with pytest.raises(TimeoutError):
         dgcd(a, dmul(a, [1, 1]), deadline=past)
     with pytest.raises(TimeoutError):
-        UnivariatePolynomial.from_int_list(b).squarefree_part(deadline=past)
+        UnivariatePolynomial(b).squarefree_part(deadline=past)
     with pytest.raises(TimeoutError):
         _compressed_squarefree(b, past)
     with pytest.raises(TimeoutError):

@@ -125,6 +125,36 @@ def test_inexact_division_raises(n):
         ddiv_exact([1] * (n + 40), [3 ** 300] * n)  # divisor far wider than the dividend
 
 
+def test_packed_quotient_exact_at_the_slot_point_is_rejected(monkeypatch):
+    # a = q b + (x - 2^w) s with s the balanced carries of q b in base 2^w:
+    # a(2^w) = q(2^w) b(2^w) and a's coefficients fit in the w-bit slot that
+    # _kdiv_exact picks first, yet b does not divide a, so only multiplying
+    # q back tells them apart
+    rng = random.Random(11)
+    w = 64
+    b = [rng.randint(-2 ** 48, 2 ** 48) for _ in range(KRONECKER_MIN)] + [1]
+    q = [rng.randint(-2 ** 20, 2 ** 20) for _ in range(KRONECKER_MIN)] + [1]
+    c = school_mul(q, b)
+    s, carry = [], 0
+    for x in c:
+        carry = (x + carry + 2 ** (w - 1)) >> w
+        s.append(carry)
+    a = [x + (s[i - 1] if i else 0) - (s[i] << w) for i, x in enumerate(c)]
+    assert any(s) and s[-1] == 0 and a[-1] == c[-1]
+    pack = realroots._pack
+    assert pack(a, w // 8) == pack(q, w // 8) * pack(b, w // 8)
+    nbytes = []
+
+    def recorded(poly, n):
+        nbytes.append(n)
+        return pack(poly, n)
+
+    monkeypatch.setattr(realroots, "_pack", recorded)
+    with pytest.raises(ValueError):
+        ddiv_exact(a, b)
+    assert nbytes[0] == w // 8
+
+
 def test_division_by_zero_polynomial():
     with pytest.raises(ZeroDivisionError):
         ddiv_exact([1, 2, 3], [])
@@ -298,7 +328,7 @@ def test_modular_gcd_and_squarefree_part_match_sympy():
         got = dgcd(a, b)
         expected = to_sympy(a).gcd(to_sympy(b))
         assert to_sympy(got) == expected.primitive()[1] * sympy.sign(expected.LC())
-        sf = realroots.UnivariatePolynomial.from_int_list(a).squarefree_part()
+        sf = realroots.UnivariatePolynomial(a).squarefree_part()
         expected = to_sympy(a).sqf_part()
         assert to_sympy(sf.coeffs) == expected.primitive()[1] * sympy.sign(expected.LC())
 

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from wronski import realroots
 from wronski.errors import DomainError
-from wronski.realroots import (CERTIFICATE_PRIMES, UnivariatePolynomial, _squarefree_mod_p,
+from wronski.realroots import (CERTIFICATE_PRIMES, UnivariatePolynomial, _gcd_cofactor,
                                count_real_roots, dmul, dstrip, isolate_real_roots,
                                min_positive_real_root, refine_interval, root_bound,
                                sturm_count)
@@ -265,25 +266,42 @@ def test_certificate_never_accepts_a_square_factor():
     def check(g, h):
         f = dmul(dmul(g, g), h)
         if f:
-            assert not _squarefree_mod_p(U(f).int_primitive())
+            ints = U(f).int_primitive()
+            assert len(_gcd_cofactor(ints, derivative(ints))[0]) > 1
             assert not U(f).is_squarefree()
 
     check()
 
 
-def test_certificate_skips_primes_dividing_the_leading_coefficient():
+def derivative(ints):
+    return dstrip([k * c for k, c in enumerate(ints)][1:])
+
+
+def test_certificate_skips_primes_dividing_the_leading_coefficient(monkeypatch):
+    primes = []  # the prime of each gcd image, in order
+    gcd_mod_p = realroots._gcd_mod_p
+
+    def recorded(a, b, p):
+        primes.append(p)
+        return gcd_mod_p(a, b, p)
+
+    monkeypatch.setattr(realroots, "_gcd_mod_p", recorded)
     p0, p1 = CERTIFICATE_PRIMES[:2]
     # (p0 x + 1)^2 (x - 1) is x - 1 modulo p0, squarefree there
     f = dmul(dmul([1, p0], [1, p0]), [-1, 1])
-    assert not _squarefree_mod_p(f) and not U(f).is_squarefree()
-    # and a leading coefficient divisible by every prime leaves it to the exact gcd
+    assert _gcd_cofactor(f, derivative(f))[0] == [1, p0] and not U(f).is_squarefree()
+    assert p0 not in primes
+    # and a leading coefficient divisible by every prime leaves it to the later primes
     lc = 1
     for q in CERTIFICATE_PRIMES:
         lc *= q
     f = [-1, 0, lc]
-    assert not _squarefree_mod_p(f) and U(f).is_squarefree()
+    primes.clear()
+    assert _gcd_cofactor(f, derivative(f)) == ([1], f) and U(f).is_squarefree()
+    assert primes and not set(primes) & set(CERTIFICATE_PRIMES)
     g = [-1, 0, p0 * p1 + 1]
-    assert _squarefree_mod_p(g)
+    primes.clear()
+    assert _gcd_cofactor(g, derivative(g)) == ([1], g) and primes == [p0]
 
 
 def test_certificate_keeps_the_primitive_polynomial_as_squarefree_part():
@@ -376,7 +394,7 @@ def test_rational_input_is_stored_as_integers():
     assert (p * Fraction(-3, 2)).coeffs == [-9, 6] and (-p).coeffs == [-3, 2]
     assert (p * p).coeffs == [9, -12, 4] and (p * 0).is_zero()
     assert U([0, Fraction(0)]).is_zero() and repr(U([])) == "UnivariatePolynomial(0)"
-    assert U.from_int_list([2, 4, 0]).coeffs == [2, 4]  # kept as given, not made primitive
+    assert U([2, 4, 0]).coeffs == [2, 4]  # kept as given, not made primitive
     assert U([1, 2, 3])(Fraction(1, 2)) == Fraction(11, 4)
 
 
