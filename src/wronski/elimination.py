@@ -53,11 +53,12 @@ def _strip_t_power(p: Polynomial):
     return Polynomial(p.vars, terms), k
 
 
-def _t_content(p: Polynomial):
+def _t_content(p: Polynomial, deadline=None):
     """gcd over Z[t] of the coefficients with respect to the non-t variables.
 
     Returns (reduced, content) with content a UnivariatePolynomial in t;
-    content is [1] when trivial.  Expects integer coefficients.
+    content is [1] when trivial.  Expects integer coefficients.  The gcds
+    raise TimeoutError past the deadline.
     """
     others = [v for v in p.vars if v != "t" and p.degree(v) > 0]
     if "t" not in p.vars or len(others) != 1:
@@ -67,7 +68,7 @@ def _t_content(p: Polynomial):
     g = []
     for row in rows:
         if row:
-            g = dgcd(g, row) if g else dprimitive(row)
+            g = dgcd(g, row, deadline) if g else dprimitive(row)
             if g == [1]:
                 return p, UnivariatePolynomial([1])
     rows = [ddiv_exact(row, g) for row in rows]
@@ -240,7 +241,7 @@ def _one_route(fs, pivot: int, shear, deadline):
     for R in (R1, R2):
         P = R.primitive_part()
         P, k = _strip_t_power(P)
-        P, content = _t_content(P)
+        P, content = _t_content(P, deadline)
         others = [v for v in P.vars if v != "t" and P.degree(v) > 0]
         projections.append(ProjectionFactor(P, others[0] if others else None, k,
                                             content))
@@ -252,7 +253,7 @@ def _one_route(fs, pivot: int, shear, deadline):
     raw_extra = d2 * (pr1.t_power + max(pr1.content.degree(), 0)) \
         + d1 * (pr2.t_power + max(pr2.content.degree(), 0))
     if d1 == 0 and d2 == 0:
-        factors = [(dgcd(_t_ints(P1), _t_ints(P2)), 1)]
+        factors = [(dgcd(_t_ints(P1), _t_ints(P2), deadline), 1)]
     elif d1 == 0:
         factors = [(_t_ints(P1), 1)]
     elif d2 == 0:
@@ -474,11 +475,12 @@ class BoundaryReport:
     detail: str = ""
 
 
-def boundary_check(system: MetaSystem):
+def boundary_check(system: MetaSystem, deadline=None):
     """Analyze each coordinate stratum of the system.
 
     Univariate strata are eliminated exactly; the reported t-candidates are a
-    certified superset of the t-values of real stratum solutions.
+    certified superset of the t-values of real stratum solutions.  The
+    resultants, gcds and root isolation raise TimeoutError past the deadline.
     """
     out = []
     for restriction in boundary_subsystems(system):
@@ -506,7 +508,7 @@ def boundary_check(system: MetaSystem):
                 u = next(v for v in other[i].vars if v != "t" and other[i].degree(v) > 0)
                 if other[j].degree(u) <= 0:
                     continue
-                r = resultant(other[i], other[j], u)
+                r = resultant(other[i], other[j], u, deadline)
                 if not r.is_zero():
                     candidates.append(_t_ints(r))
         if not candidates:
@@ -516,12 +518,12 @@ def boundary_check(system: MetaSystem):
             continue
         g = []
         for c in candidates:
-            g = dgcd(g, c) if g else dprimitive(c)
+            g = dgcd(g, c, deadline) if g else dprimitive(c)
         G = UnivariatePolynomial(g)
         if G.degree() <= 0:
             status, ivs = "infeasible", ()
         else:
-            roots = isolate_real_roots(G)
+            roots = isolate_real_roots(G, deadline)
             ivs = tuple(roots)
             nonzero = [iv for iv in roots if not (iv.is_point and iv.lo == 0)]
             status = "no-real-t-nonzero" if not nonzero else "candidates"

@@ -245,7 +245,7 @@ def meta_report(delta: int, height, refine: int = 2, seed: int = 0,
     boundary = [
         {"stratum": rep.label, "status": rep.status, "colors": list(rep.colors_present),
          "t_candidates": [iv.to_json() for iv in rep.t_candidates], "detail": rep.detail}
-        for rep in boundary_check(system)
+        for rep in boundary_check(system, deadline)
     ]
     res = {
         "delta": delta,

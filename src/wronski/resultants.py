@@ -22,24 +22,37 @@ A = sum A_i y^i and B = sum B_j y^j (primitive, integral, of degrees dA and
 dB >= 1 in y) is a polynomial in the remaining variables u_1, ..., u_n, and
 is mapped to one integer by evaluating it at a single Kronecker point:
 
-* Each live variable is first compressed to its exponent lattice: when k_v
-  divides every exponent of u_v, the PRS runs in s_v = u_v^(k_v), which is
-  exact because u_v -> u_v^(k_v) is an injective ring map that commutes
-  with the resultant.
+* Grading.  Each variable u = u_v is first graded, so that the image is
+  only as large as the support.  For any c >= 0, two identities hold:
+  Res(A(u^c y), B(u^c y)) = u^(c dA dB) Res(A, B) (scaling y by L gives
+  Res(f(L y), g(L y)) = L^(dA dB) Res(f, g)), and Res(u^m A, B) =
+  u^(m dB) Res(A, B) (the resultant is homogeneous of degree dB in the
+  coefficients of A).  So the scaled inputs, coefficient i multiplied by
+  u^(c i), are stripped of their lowest u-exponents m_A and m_B, and u is
+  compressed to s = u^k with k the gcd of every remaining exponent of both
+  (an injective ring map that commutes with the resultant).  Then
+  Res(A, B) = u^(dB m_A + dA m_B - c dA dB) Res_s(A', B'), exactly for
+  every c: the choice of c changes only the size of the image.  Since c i
+  cancels in the exponent gaps inside one coefficient, k divides their gcd
+  K; for K = 1 (dense coefficients) c = 0, otherwise every c < K is tried
+  (every c up to the largest exponent when each coefficient is a monomial)
+  and the one with the fewest slots kept.
 * Degrees.  Every term of the Sylvester determinant is a product of dB
-  coefficients of A and dA of B, so deg_v Res < D_v = dB max_i deg_v A_i +
-  dA max_j deg_v B_j + 1.  The map u_1 -> 2^W, u_2 -> 2^(W D_1),
-  u_3 -> 2^(W D_1 D_2), ... sends the monomials of such polynomials to
+  coefficients of A' and dA of B', so deg_s Res_s(A', B') < D_v =
+  (dB top_A + dA top_B) / k + 1, with top_A and top_B the largest
+  exponents of the scaled and stripped inputs.  The map s_1 -> 2^W, s_2 -> 2^(W D_1),
+  s_3 -> 2^(W D_1 D_2), ... sends the monomials of such polynomials to
   distinct powers 2^(W m), m < D_1 ... D_n.
-* Coefficients.  On the torus |u_v| = 1, Hadamard's inequality on the
+* Coefficients.  Multiplying by monomials keeps every coefficient and so
+  every torus norm.  On the torus |u_v| = 1, Hadamard's inequality on the
   Sylvester rows gives |Res| <= (sum_i ||A_i||_1^2)^(dB/2)
   (sum_j ||B_j||_1^2)^(dA/2), and each coefficient of Res, an average of
   Res u^-e over the torus, is bounded by the same number.  W is chosen so
   that this bound is below 2^(W-1) (and rounded up to whole bytes), so the
   image of Res has balanced base-2^W digits that are exactly its
   coefficients; the bound also covers every input coefficient.
-* The map is a ring homomorphism, and the leading coefficients A_dA and
-  B_dB are nonzero polynomials of degrees below D_v with coefficients below
+* The map is a ring homomorphism, and the leading coefficients A'_dA and
+  B'_dB are nonzero polynomials of degrees below D_v with coefficients below
   2^(W-1), so their images are nonzero (checked all the same): the
   resultant of the images is the image of the resultant.
 
@@ -160,47 +173,91 @@ def _coset_factors(A, B, deadline):
     return factors
 
 
+def _grading(spans, v, gap, top, dA, dB):
+    """(D, c, k, (m_A, m_B)) for the variable u_v: the scale c with the fewest slots D.
+
+    spans holds, per input, (i, lowest, highest exponents) of each nonzero
+    coefficient; gap is the gcd of the u_v-exponent gaps inside single
+    coefficients, which every usable k divides, and top the largest
+    u_v-exponent.  After y -> u_v^c y, the inputs' lowest u_v-exponents m_A,
+    m_B are stripped and u_v^k is packed (see the module docstring); k = 0
+    when stripping leaves no u_v.
+    """
+    best = None
+    for c in range(gap if gap else top + 1):
+        k, lows, tops = gap, [], []
+        for rows in spans:
+            low = min(lo[v] + c * i for i, lo, _ in rows)
+            for i, lo, _ in rows:
+                k = gcd(k, lo[v] + c * i - low)
+            lows.append(low)
+            tops.append(max(hi[v] + c * i for i, _, hi in rows) - low)
+        slots = (dB * tops[0] + dA * tops[1]) // k + 1 if k else 1
+        if best is None or slots < best[0]:
+            best = (slots, c, k, lows)
+    return best
+
+
 def _one_point_resultant(A, B, deadline) -> Polynomial:
     """Res(A, B) of integral coefficient lists of positive degree, by one integer PRS.
 
-    The coefficients are evaluated at the Kronecker point of the module
-    docstring, and the result is read back from its balanced base-2^W digits.
+    Each variable is graded (`_grading`), the coefficients are evaluated at
+    the Kronecker point of the module docstring, and the result is read back
+    from its balanced base-2^W digits.
     """
     variables = A[0].vars
     dA, dB = len(A) - 1, len(B) - 1
     n = len(variables)
-    lattice, top_a, top_b = [0] * n, [0] * n, [0] * n
-    for coeffs, top in ((A, top_a), (B, top_b)):
-        for c in coeffs:
-            for e in c.terms:
-                for v, x in enumerate(e):
-                    if x:
-                        lattice[v] = gcd(lattice[v], x)
-                        top[v] = max(top[v], x)
-    live = [v for v in range(n) if lattice[v]]
-    strides, bounds, size = {}, {}, 1
-    for v in live:
-        strides[v] = size
-        bounds[v] = (dB * top_a[v] + dA * top_b[v]) // lattice[v] + 1
-        size *= bounds[v]
+    gaps, spans = [0] * n, ([], [])
+    for coeffs, rows in zip((A, B), spans):
+        for i, p in enumerate(coeffs):
+            if p.terms:
+                first = next(iter(p.terms))
+                lo, hi = list(first), list(first)
+                for e in p.terms:
+                    for v, x in enumerate(e):
+                        if x != first[v]:
+                            gaps[v] = gcd(gaps[v], x - first[v])
+                            if x < lo[v]:
+                                lo[v] = x
+                            elif x > hi[v]:
+                                hi[v] = x
+                rows.append((i, lo, hi))
+    # Res(A, B) = u_v^(dB m_A + dA m_B - c dA dB) Res(scaled and stripped inputs)
+    highest = [max(col) for col in zip(*[hi for rows in spans for _, _, hi in rows])]
+    offset, live, size = [0] * n, [], 1  # live: (v, c, k, (m_A, m_B), D, stride)
+    for v in range(n):
+        if highest[v]:  # else u_v does not occur
+            slots, c, k, lows = _grading(spans, v, gaps[v], highest[v], dA, dB)
+            offset[v] = dB * lows[0] + dA * lows[1] - c * dA * dB
+            if k:
+                live.append((v, c, k, lows, slots, size))
+                size *= slots
     norms_a = sum(sum(map(abs, c.terms.values())) ** 2 for c in A)
     norms_b = sum(sum(map(abs, c.terms.values())) ** 2 for c in B)
     # |every coefficient| <= norms_a^(dB/2) norms_b^(dA/2) < 2^(w-1)
     nbytes = (dB * norms_a.bit_length() + dA * norms_b.bit_length() + 1) // 2 // 8 + 1
 
-    def at_point(c):
-        slots = {sum(e[v] // lattice[v] * strides[v] for v in live): x for e, x in c.terms.items()}
-        return _pack([slots.get(i, 0) for i in range(max(slots, default=0) + 1)], nbytes)
+    def at_point(coeffs, side):
+        out = []
+        for i, p in enumerate(coeffs):
+            # u_v^e of coefficient i sits in slot (e + c i - m) / k of u_v
+            shifts = [(v, c * i - lows[side], k, stride) for v, c, k, lows, _, stride in live]
+            slots = {sum((e[v] + s) // k * stride for v, s, k, stride in shifts): x
+                     for e, x in p.terms.items()}
+            out.append(_pack([slots.get(j, 0) for j in range(max(slots, default=0) + 1)],
+                             nbytes))
+        return out
 
-    A, B = [at_point(c) for c in A], [at_point(c) for c in B]
+    A, B = at_point(A, 0), at_point(B, 1)
     if not (A[-1] and B[-1]):
         raise ArithmeticError("a leading coefficient vanishes at the Kronecker point")
     terms = {}
-    for i, x in enumerate(_unpack(_prs_resultant(A, B, deadline), size, nbytes)):
+    for j, x in enumerate(_unpack(_prs_resultant(A, B, deadline), size, nbytes)):
         if x:
-            e = [0] * n
-            for v in live:
-                e[v] = i // strides[v] % bounds[v] * lattice[v]
+            e = list(offset)
+            for v, _, k, _, slots, stride in live:
+                e[v] += j // stride % slots * k
             terms[tuple(e)] = x
     return Polynomial(variables, terms)
 

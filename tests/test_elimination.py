@@ -5,8 +5,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from wronski.elimination import (_compressed_gcd, _compressed_squarefree, boundary_check,
-                                 certify_elimination, certify_no_real_solutions,
+from wronski.elimination import (_compressed_gcd, _compressed_squarefree, _t_content,
+                                 boundary_check, certify_elimination, certify_no_real_solutions,
                                  count_real_intersections, eliminate_to_t)
 from wronski.errors import EliminationError
 from wronski.heights import HeightFunction, minimal_height
@@ -189,6 +189,12 @@ def test_squarefree_and_gcd_passes_honor_deadline():
     with pytest.raises(TimeoutError):
         _compressed_gcd(b, dmul(a, [3, 0, 0, 1]), past)
     assert _compressed_squarefree(b) == a and _compressed_gcd(b, a) == a
+    t = Polynomial.variable("t", ("t", "y"))
+    y = Polynomial.variable("y", ("t", "y"))
+    p = (1 + t) * (y + t + 2)  # the Z[t] content 1 + t takes a gcd
+    with pytest.raises(TimeoutError):
+        _t_content(p, past)
+    assert _t_content(p) == (y + t + 2, UnivariatePolynomial([1, 1]))
 
 
 def test_eliminate_passes_its_deadline_to_the_squarefree_pass(monkeypatch):
@@ -220,6 +226,51 @@ def test_root_candidates_and_certificates_honor_deadline():
     with pytest.raises(TimeoutError):
         certify_elimination(result, deadline=past)
     assert len(result.real_root_candidates(refine_width=Q(1, 1000))) == 3  # t = 0 and two more
+
+
+def _deadline_spies(monkeypatch, names):
+    """Wrap the named functions of the elimination module; record each call's deadline."""
+    import inspect
+
+    from wronski import elimination
+
+    seen = {name: [] for name in names}
+    for name in names:
+        fn = getattr(elimination, name)
+
+        def spy(*args, _fn=fn, _seen=seen[name], **kwargs):
+            _seen.append(inspect.signature(_fn).bind(*args, **kwargs).arguments.get("deadline"))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(elimination, name, spy)
+    return seen
+
+
+def test_eliminate_passes_its_deadline_to_the_t_contents(monkeypatch):
+    import time
+
+    system = meta_system(3, HeightFunction.rho(3))
+    expected = eliminate_to_t(system, refine=2).to_json()
+    deadline = time.monotonic() + 600
+    seen = _deadline_spies(monkeypatch, ("_t_content", "dgcd"))
+    assert eliminate_to_t(system, refine=2, deadline=deadline).to_json() == expected
+    assert seen["_t_content"] and seen["dgcd"]
+    assert set(seen["_t_content"]) == set(seen["dgcd"]) == {deadline}
+
+
+def test_boundary_check_honours_its_deadline(monkeypatch):
+    import time
+
+    system = meta_system(3, HeightFunction.rho(3))
+    with pytest.raises(TimeoutError):
+        boundary_check(system, deadline=time.monotonic() - 1)
+    expected = boundary_check(system)
+    deadline = time.monotonic() + 600
+    names = ("resultant", "dgcd", "isolate_real_roots")
+    seen = _deadline_spies(monkeypatch, names)
+    assert boundary_check(system, deadline) == expected
+    for name in names:
+        assert seen[name] and set(seen[name]) == {deadline}, name
 
 
 def test_minimal_height_elimination_is_sound_superset():
@@ -287,6 +338,35 @@ def test_delta6_elimination_pinned():
     result = eliminate_to_t(meta_system(6, HeightFunction.rho(6)), refine=2)
     payload = json.dumps(result.to_json(), sort_keys=True)
     assert zlib.crc32(payload.encode()) == 2862021745
+
+
+@pytest.mark.parametrize("height, slots", [("rho", 2768), ("min", 1598)])
+def test_x_stage_images_are_graded(monkeypatch, height, slots):
+    # the summed slot counts of the x-resultant images at delta 4; exponent
+    # lattices alone gave 13,884 (rho) and 4,820 (min)
+    from wronski import elimination, resultants
+    from wronski.harness import resolve_height
+
+    sizes, x_stage = [], []
+    unpack, res = resultants._unpack, elimination.resultant
+
+    def recorded(x, n, nbytes):
+        if x_stage:
+            sizes.append(n)
+        return unpack(x, n, nbytes)
+
+    def x_resultant(*args):
+        x_stage.append(True)
+        try:
+            return res(*args)
+        finally:
+            x_stage.pop()
+
+    monkeypatch.setattr(resultants, "_unpack", recorded)
+    monkeypatch.setattr(elimination, "resultant", x_resultant)
+    eliminate_to_t(meta_system(4, resolve_height(height, 4)), refine=2)
+    assert len(sizes) == 6 and sum(sizes) == slots
+    assert 3 * slots <= {"rho": 13884, "min": 4820}[height]
 
 
 def test_candidates_keep_only_roots_inside_the_window():

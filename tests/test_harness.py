@@ -112,6 +112,24 @@ def test_meta_report_forwards_its_deadline_past_the_elimination(monkeypatch):
         meta_report(3, "rho", deadline=time.monotonic() - 1)
 
 
+def test_meta_report_forwards_its_deadline_to_the_boundary_strata(monkeypatch):
+    import time
+
+    from wronski import harness
+
+    seen = []
+    check = harness.boundary_check
+
+    def recorded(system, deadline=None):
+        seen.append(deadline)
+        return check(system, deadline)
+
+    monkeypatch.setattr(harness, "boundary_check", recorded)
+    deadline = time.monotonic() + 600
+    meta_report(3, "rho", deadline=deadline)
+    assert seen == [deadline]
+
+
 def test_meta_report_isolates_each_polynomial_once(monkeypatch):
     from wronski import realroots
 

@@ -253,54 +253,79 @@ def _counted_one_point(monkeypatch):
 
 @pytest.mark.parametrize("live", [0, 1, 2, 3])
 def test_one_point_resultant_matches_sylvester_property(monkeypatch, live):
-    # coefficients in `live` of the variables r, s, t, each on its own lattice
-    # k in {1, 2, 3}, with negative coefficients; y is eliminated
+    # coefficients in `live` of the variables r, s, t; y is eliminated.  Each
+    # variable has a lattice k in {1, 2, 3}, and coefficient i of an input
+    # has exponents in the class (per-input offset + step i) mod k, so the
+    # grading scales, strips and compresses; a middle coefficient may be zero
     calls = _counted_one_point(monkeypatch)
+    grades = []
+    grading = resultants._grading
+
+    def recorded(*args):
+        out = grading(*args)
+        grades.append(out)
+        return out
+
+    monkeypatch.setattr(resultants, "_grading", recorded)
     vars_ = ("r", "s", "t", "y")
     rng = random.Random(0x1E7 + live)
     for trial in range(25):
         lattice = [rng.choice([1, 2, 3]) for _ in range(live)] + [0] * (3 - live)
-
-        def coefficient():
-            terms = {}
-            for _ in range(rng.randint(1, 4)):
-                e = tuple(k * rng.randint(0, 2) for k in lattice)
-                terms[e] = rng.choice([-7, -3, -2, -1, 1, 2, 5, 9])
-            return terms
+        steps = [rng.randint(0, 2) * (k > 0) for k in lattice]
 
         def rand_y(dy):
+            offsets = [rng.randint(0, 3) * (k > 0) for k in lattice]
+            gap = rng.randint(1, dy - 1) if dy > 1 and rng.random() < 0.5 else None
             out = {}
             for j in range(dy + 1):
-                if j == dy or rng.random() < 0.8:
-                    for e, c in coefficient().items():
-                        out[e + (j,)] = c
+                if j == gap or (j not in (0, dy) and rng.random() < 0.2):
+                    continue
+                for _ in range(rng.randint(1, 4)):
+                    e = tuple(o + s * j + k * rng.randint(0, 2)
+                              for o, s, k in zip(offsets, steps, lattice))
+                    out[e + (j,)] = rng.choice([-7, -3, -2, -1, 1, 2, 5, 9])
             return Polynomial(vars_, out)
 
         da = rng.randint(1, 3)
         f, g = rand_y(da), rand_y(rng.randint(1, 6 - da))
         assert resultant(f, g, "y") == sylvester_resultant(f, g, "y"), (live, trial)
     assert len(calls) >= 20
+    if live:  # each step of the grading ran: a scale, a strip, a compression
+        assert any(c for _, c, _, _ in grades)
+        assert any(any(lows) for _, _, _, lows in grades)
+        assert any(k > 1 for _, _, k, _ in grades)
 
 
 @pytest.mark.parametrize("a, b", [(1, 1), (2, 3), (5, 2), (2, 4), (6, 9)])
 def test_one_point_degree_bound_is_attained(monkeypatch, a, b):
-    # Res_y(t^a + y, 1 + t^b y) = 1 - t^(a+b): its top term sits in the last
-    # slot D - 1 = a + b of the compressed lattice (D = dB a + dA b + 1)
-    sizes = []
+    # Res_y(1 + t^a + y, 1 + t^b y) = 1 - t^b - t^(a+b): the gap a inside a
+    # coefficient leaves only c < a, and c = 0 is best, so the top term sits
+    # in the last slot D - 1 of the compressed lattice
+    # (D = (dB a + dA b) / gcd(a, b) + 1)
+    digits = []
     unpack = resultants._unpack
 
     def recorded(x, n, nbytes):
-        sizes.append(n)
-        return unpack(x, n, nbytes)
+        digits.append(unpack(x, n, nbytes))
+        return digits[-1]
 
     monkeypatch.setattr(resultants, "_unpack", recorded)
     t = Polynomial.variable("t", ("t", "y"))
     y = Polynomial.variable("y", ("t", "y"))
+    f, g = 1 + t ** a + y, 1 + t ** b * y
+    r = resultant(f, g, "y")
+    assert r == 1 - t ** b - t ** (a + b) == sylvester_resultant(f, g, "y")
+    assert [len(d) for d in digits] == [(a + b) // math.gcd(a, b) + 1]
+    assert digits[0][-1] == -1
+    # Res_y(t^a + y, 1 + t^b y) = 1 - t^(a+b): y -> t^a y turns the inputs
+    # into t^a (1 + y) and 1 + t^(a+b) y, stripped and compressed to
+    # Res(1 + y, 1 + s y) = 1 - s in D = 2 slots (3 before the grading at
+    # a = b = 1), the top term again in the last
+    digits.clear()
     f, g = t ** a + y, 1 + t ** b * y
     r = resultant(f, g, "y")
     assert r == 1 - t ** (a + b) == sylvester_resultant(f, g, "y")
-    k = math.gcd(a, b)
-    assert sizes == [(a + b) // k + 1]
+    assert digits == [[1, -1]]
 
 
 def test_one_point_prs_honours_a_past_deadline():
