@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="output file (atomic write); stdout otherwise")
-        p.add_argument("--format", default="json", choices=["json", "csv", "svg"])
+        p.add_argument("--format", default="json", choices=["json", "csv"])
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("triangulate", help="honeycomb triangulation as JSON")

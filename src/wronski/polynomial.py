@@ -339,29 +339,6 @@ class Polynomial:
             out[k] = c
         return out
 
-    @classmethod
-    def from_dense(cls, coeffs, var, variables) -> "Polynomial":
-        """Inverse of dense: sum c_k var^k in variables; a constant when var is absent."""
-        return cls(variables, {tuple(k if v == var else 0 for v in variables): c
-                               for k, c in enumerate(coeffs) if c})
-
-    @staticmethod
-    def from_univariate(coeffs, var: str) -> "Polynomial":
-        """Rebuild from a dense coefficient list produced by as_univariate."""
-        out = None
-        for k, c in enumerate(coeffs):
-            if not isinstance(c, Polynomial):
-                c = Polynomial.const(c)
-            if c.is_zero():
-                continue
-            variables = c.vars + (var,) if var not in c.vars else c.vars
-            piece = Polynomial(variables, {e + (k,): v for e, v in c.with_variables(variables[:-1]).terms.items()}) \
-                if var not in c.vars else None
-            if piece is None:
-                raise ValueError(f"coefficient already contains {var!r}")
-            out = piece if out is None else out + piece
-        return out if out is not None else Polynomial.zero((var,))
-
     # -- io ---------------------------------------------------------------------
 
     def __str__(self):

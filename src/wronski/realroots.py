@@ -36,15 +36,11 @@ of it shares one gcd, and each polynomial is isolated once.
   Isolation and refinement take an optional deadline, checked on each
   bisection step.
 
-The integer-list kernels `dmul` and `ddiv_exact` switch on operand length
-alone: below KRONECKER_MIN terms they run the schoolbook loops; from there on
-the operands are packed into single integers (Kronecker substitution) and
-multiplied by CPython's C big-integer arithmetic.  Integer quotients
-(`dquo_exact`) switch on size: `divmod` while the quotient or the divisor
-is below QUOTIENT_2ADIC_BITS, a 2-adic quotient (Jebelean) from there on,
-each checked.  It serves both the exact divisions of the resultant PRS and
-the packed polynomial quotient, which is accepted only after multiplying
-back to the dividend exactly; an inexact division raises ValueError.
+The integer-list kernels `dmul` and `ddiv_exact` are schoolbook loops.
+Integer quotients (`dquo_exact`) switch on size: `divmod` while the quotient
+or the divisor is below QUOTIENT_2ADIC_BITS, a 2-adic quotient (Jebelean)
+from there on, each checked; an inexact division raises ValueError.  They
+serve the exact divisions of the resultant PRS.
 """
 
 from __future__ import annotations
@@ -70,11 +66,9 @@ def dneg(a):
 
 
 def dmul(a, b):
-    """Product of integer polynomials; packed into one big integer for long operands."""
+    """Product of integer polynomials."""
     if not a or not b:
         return []
-    if min(len(a), len(b)) >= KRONECKER_MIN:
-        return _kmul(a, b)
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca == 0:
@@ -107,21 +101,11 @@ def dprimitive(a):
 
 
 def ddiv_exact(a, b):
-    """Exact division of integer polynomials; raises ValueError if not exact.
-
-    Long operands go through one integer quotient of the packed operands
-    (`dquo_exact`): an inexact one raises at once, and an exact one is
-    returned only after multiplying back to a; otherwise (or when that check
-    fails) the schoolbook loop decides.
-    """
+    """Exact division of integer polynomials; raises ValueError if not exact."""
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
     if not a:
         return []
-    if len(b) >= KRONECKER_MIN and len(a) - len(b) + 1 >= KRONECKER_MIN and a[-1] and b[-1]:
-        q = _kdiv_exact(a, b)
-        if q is not None:
-            return q
     r = list(a)
     out = [0] * (len(a) - len(b) + 1)
     lb = b[-1]
@@ -183,56 +167,12 @@ def dexpand(a, g: int):
     return out
 
 
-# -- packed (Kronecker) kernels ---------------------------------------------------
-#
-# A polynomial with |coefficients| < 2^(w-1) is packed into the integer a(2^w),
-# w a whole number of bytes, so that CPython's C big-integer product does the
-# work of the O(n^2) Python loop (Kronecker substitution).  Signed slots are
-# written and read through to_bytes/from_bytes with a bias of 2^(w-1) per
-# slot.  Packing costs O(n) Python steps per operand, so it loses on short
-# operands (about 0.3x at 8 terms); both kernels choose the path from the
-# operand lengths alone, with KRONECKER_MIN as the cut-off.
+# -- exact integer quotients -------------------------------------------------------
 
-KRONECKER_MIN = 24
 # Measured with Python 3.11 on a 2-vCPU VM: one quotient of 32 kbit by 32 kbit
 # takes about as long either way, the 2-adic one is 2-3x faster at 128-256 kbit,
 # and the delta-6 outer PRS runs equally fast with cuts from 8 to 64 kbit.
 QUOTIENT_2ADIC_BITS = 32768
-
-
-def _maxbits(a) -> int:
-    return max(max(a), -min(a)).bit_length()
-
-
-def _bias(n: int, nbytes: int) -> int:
-    """sum of 2^(w-1) 2^(w i) over n slots of w = 8 nbytes bits."""
-    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
-
-
-def _pack(a, nbytes: int) -> int:
-    """a(2^w) for w = 8 nbytes; every |coefficient| must be below 2^(w-1)."""
-    half = 1 << (8 * nbytes - 1)
-    raw = b"".join([(c + half).to_bytes(nbytes, "little") for c in a])
-    return int.from_bytes(raw, "little") - _bias(len(a), nbytes)
-
-
-def _unpack(x: int, n: int, nbytes: int):
-    """The n balanced base-2^w digits of x modulo 2^(w n), lowest first."""
-    half = 1 << (8 * nbytes - 1)
-    size = n * nbytes
-    raw = ((x + _bias(n, nbytes)) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-    return [int.from_bytes(raw[i:i + nbytes], "little") - half
-            for i in range(0, size, nbytes)]
-
-
-def _kmul(a, b):
-    """dmul through one big-integer product; exact for any integer lists."""
-    # |c_k| < min(len) 2^(bits a + bits b), plus a sign bit
-    w = _maxbits(a) + _maxbits(b) + min(len(a), len(b)).bit_length() + 1
-    nbytes = (w + 7) // 8
-    x = _pack(a, nbytes)
-    y = x if b is a else _pack(b, nbytes)
-    return dstrip(_unpack(x * y, len(a) + len(b) - 1, nbytes))
 
 
 def _inverse_2adic(b: int, nbits: int) -> int:
@@ -284,29 +224,6 @@ def dquo_exact(a, d: int):
             raise ValueError("not an exact division")
         out.append(q)
     return out
-
-
-def _kdiv_exact(a, b):
-    """a / b from one integer quotient of the packed operands, or None.
-
-    With q = a / b exact, q(2^w) = a(2^w) / b(2^w), and the balanced base-2^w
-    digits of that quotient are the coefficients of q when each fits in a
-    slot.  The slot also holds every coefficient of a and b, so both pack.
-    The first slot width guesses bits(q) from bits(a) - bits(b); the second
-    holds any exact quotient (Mignotte: |q| <= 2^deg q ||a||_2).  b | a
-    implies b(2^w) | a(2^w), so an inexact integer quotient raises ValueError
-    at once; a quotient is returned only when multiplying it back gives a,
-    so nothing is assumed, and None means no candidate passed.
-    """
-    nq = len(a) - len(b) + 1
-    bits_a, bits_b = _maxbits(a), _maxbits(b)
-    for qbits in (bits_a - bits_b + 8, bits_a + nq + len(a).bit_length()):
-        nbytes = max(qbits, bits_a, bits_b) // 8 + 1  # every |coefficient| < 2^(w-1)
-        [Q] = dquo_exact([_pack(a, nbytes)], _pack(b, nbytes))
-        q = _unpack(Q, nq, nbytes)
-        if q[-1] and _kmul(q, b) == a:
-            return q
-    return None
 
 
 # -- gcds modulo primes -------------------------------------------------------------

@@ -58,7 +58,7 @@ is mapped to one integer by evaluating it at a single Kronecker point:
 
 The subresultant PRS computes the resultant of its integer inputs exactly
 over Z, whatever degree sequence it takes, so reading the balanced digits
-of its result (`realroots._unpack`) returns Res.  Its pseudo-remainder is
+of its result (`_unpack`) returns Res.  Its pseudo-remainder is
 `realroots.dprem`; its exact divisions are `realroots.dquo_exact`, which
 switches to a 2-adic quotient, checked by multiplying back, for the
 Mbit-sized integers of the largest eliminations.  A direct
@@ -73,7 +73,7 @@ from math import gcd
 
 from .errors import DomainError
 from .polynomial import Polynomial
-from .realroots import _pack, _unpack, dcompress, dexponent_gcd, dprem, dquo_exact
+from .realroots import dcompress, dexponent_gcd, dprem, dquo_exact
 
 
 def _prs_resultant(A, B, deadline=None) -> int:
@@ -113,13 +113,20 @@ def _prs_resultant(A, B, deadline=None) -> int:
 def resultant(f: Polynomial, g: Polynomial, var: str, deadline=None) -> Polynomial:
     """Sylvester resultant of f and g with respect to var.
 
-    Exact for rational coefficients: the product of resultant_factors.
+    Exact for rational coefficients: the product of resultant_factors, with
+    the constant factors multiplied as numbers.
     """
-    res = None
-    for c, e in resultant_factors(f, g, var, deadline):
-        p = c ** e if e > 1 else c
-        res = p if res is None else res * p
-    return res
+    factors = resultant_factors(f, g, var, deadline)
+    scale, res = 1, None
+    for c, e in factors:
+        if c.is_constant():
+            scale *= c.constant_value() ** e
+        else:
+            p = c ** e if e > 1 else c
+            res = p if res is None else res * p
+    if res is None:  # every factor is constant; they share their variables
+        return Polynomial.const(scale, factors[0][0].vars)
+    return res * scale if scale != 1 else res
 
 
 def resultant_factors(f: Polynomial, g: Polynomial, var: str, deadline=None):
@@ -138,9 +145,10 @@ def resultant_factors(f: Polynomial, g: Polynomial, var: str, deadline=None):
         raise DomainError(f"both inputs have degree 0 in {var!r}")
     if df == 0 or dg == 0:
         return ((f, dg),) if df == 0 else ((g, df),)
-    A = f.primitive_part().as_univariate(var)
-    B = g.primitive_part().as_univariate(var)
-    scale = f.content() ** dg * g.content() ** df
+    cf, cg = f.content(), g.content()
+    A = (f if cf == 1 else f * (1 / cf)).as_univariate(var)
+    B = (g if cg == 1 else g * (1 / cg)).as_univariate(var)
+    scale = cf ** dg * cg ** df
     head = ((Polynomial.const(scale, A[0].vars), 1),) if scale != 1 else ()
     return head + tuple(_coset_factors(A, B, deadline))
 
@@ -196,6 +204,27 @@ def _grading(spans, v, gap, top, dA, dB):
         if best is None or slots < best[0]:
             best = (slots, c, k, lows)
     return best
+
+
+def _bias(n: int, nbytes: int) -> int:
+    """sum of 2^(w-1) 2^(w i) over n slots of w = 8 nbytes bits."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+
+
+def _pack(a, nbytes: int) -> int:
+    """a(2^w) for w = 8 nbytes; every |coefficient| must be below 2^(w-1)."""
+    half = 1 << (8 * nbytes - 1)
+    raw = b"".join([(c + half).to_bytes(nbytes, "little") for c in a])
+    return int.from_bytes(raw, "little") - _bias(len(a), nbytes)
+
+
+def _unpack(x: int, n: int, nbytes: int):
+    """The n balanced base-2^w digits of x modulo 2^(w n), lowest first."""
+    half = 1 << (8 * nbytes - 1)
+    size = n * nbytes
+    raw = ((x + _bias(n, nbytes)) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    return [int.from_bytes(raw[i:i + nbytes], "little") - half
+            for i in range(0, size, nbytes)]
 
 
 def _one_point_resultant(A, B, deadline) -> Polynomial:

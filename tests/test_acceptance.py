@@ -1,14 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s`.  Criterion 9 is a stretch
-item: if its elimination exceeds the time budget (WRONSKI_DELTA5_BUDGET
-seconds, default 1800) or extraneous factors pollute the scan window, the
-test emits a diagnostic record and counts as waived rather than failed.
+Run with `pytest tests/test_acceptance.py -v -s`.  Criterion 9 eliminates
+the delta-5 meta-system within 1800 s and fails on a timeout, on fewer than
+two nonzero real roots, or on a least positive root outside [0.95, 1.05].
 """
 
 import functools
 import json
-import os
 import time
 import zlib
 from fractions import Fraction as Q
@@ -174,49 +172,19 @@ def test_criterion_8_kushnirenko_and_parity():
 
 
 def test_criterion_9_delta5_stretch():
-    budget = float(os.environ.get("WRONSKI_DELTA5_BUDGET", "1800"))
     start = time.monotonic()
     system = meta_system(5, HeightFunction.rho(5))
-    diagnostic = {"criterion": 9, "delta": 5, "budget_seconds": budget}
-    try:
-        result = eliminate_to_t(system, refine=2, deadline=start + budget)
-    except TimeoutError:
-        diagnostic["outcome"] = "budget exceeded during elimination"
-        diagnostic["note"] = ("iterated-resultant degrees explode: the raw projection "
-                              "reaches t-degree several thousand before stripping")
-        print("\nCRITERION 9: WAIVED - diagnostic record follows")
-        print(json.dumps(diagnostic, indent=2))
-        return
+    result = eliminate_to_t(system, refine=2, deadline=start + 1800.0)
     cands = result.real_root_candidates(include_zero=False,
                                         refine_width=Q(1, 10000))
-    n_nonzero = len(cands)
     positives = [iv for iv in cands
                  if (iv.is_point and iv.lo > 0) or (not iv.is_point and iv.lo >= 0)]
     elapsed = time.monotonic() - start
-    diagnostic.update({
-        "elapsed_seconds": round(elapsed, 1),
-        "raw_degree": result.degree_raw,
-        "squarefree_degree": result.E.degree(),
-        "refined_degrees": list(result.refined_degrees),
-        "nonzero_real_roots": n_nonzero,
-        "positive_roots": [[str(iv.lo), str(iv.hi)] for iv in positives[:8]],
-    })
-    if not positives:
-        diagnostic["outcome"] = "no positive real roots at all"
-        print("\nCRITERION 9: WAIVED - diagnostic record follows")
-        print(json.dumps(diagnostic, indent=2))
-        return
+    assert positives, "criterion 9: no positive real root"
     least = positives[0]
     in_band = Q(95, 100) <= least.lo and least.hi <= Q(105, 100)
-    if not in_band:
-        diagnostic["outcome"] = ("extraneous positive roots pollute the window; "
-                                 "least positive root outside [0.95, 1.05]")
-        print("\nCRITERION 9: WAIVED - diagnostic record follows")
-        print(json.dumps(diagnostic, indent=2))
-        return
-    ok = n_nonzero >= 2 and in_band and elapsed <= budget
-    _report(9, ok,
-            f"delta=5: {n_nonzero} nonzero real roots (>= 2), least positive root in "
+    _report(9, len(cands) >= 2 and in_band and elapsed <= 1800.0,
+            f"delta=5: {len(cands)} nonzero real roots (>= 2), least positive root in "
             f"[{float(least.lo):.4f}, {float(least.hi):.4f}] within [0.95, 1.05], "
             f"in {elapsed:.1f}s")
 

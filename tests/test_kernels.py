@@ -1,4 +1,4 @@
-"""The packed Z[t] kernels against schoolbook references, the modular gcd
+"""The Z[t] kernels against schoolbook references, the modular gcd
 against the primitive PRS, and exponent-lattice compression of the integer
 resultant against the Sylvester determinant."""
 
@@ -9,13 +9,13 @@ import pytest
 
 from wronski import realroots
 from wronski.polynomial import Polynomial
-from wronski.realroots import (CERTIFICATE_PRIMES, KRONECKER_MIN, QUOTIENT_2ADIC_BITS,
-                               _inverse_2adic, _is_prime, _kdiv_exact, _primes, dcompress,
-                               ddiv_exact, dexpand, dexponent_gcd, dgcd, dmul, dneg, dprem,
-                               dprimitive, dquo_exact, dstrip)
-from wronski.resultants import resultant, sylvester_resultant
+from wronski.realroots import (CERTIFICATE_PRIMES, QUOTIENT_2ADIC_BITS, _inverse_2adic,
+                               _is_prime, _primes, dcompress, ddiv_exact, dexpand,
+                               dexponent_gcd, dgcd, dmul, dneg, dprem, dprimitive, dquo_exact,
+                               dstrip)
+from wronski.resultants import _pack, resultant, sylvester_resultant
 
-SIZES = (1, 8, KRONECKER_MIN - 1, KRONECKER_MIN, KRONECKER_MIN + 1, 61, 130)
+SIZES = (1, 8, 23, 24, 25, 61, 130)
 
 
 def school_mul(a, b):
@@ -84,8 +84,6 @@ def test_ddiv_exact_zero_and_even_low_coefficients(low):
         a = school_mul(q, b)
         assert ddiv_exact(a, b) == q
         assert ddiv_exact(school_mul([0, 0] + q, b), b) == [0, 0] + q
-        if n >= KRONECKER_MIN:  # the packed path itself, not the schoolbook fallback
-            assert _kdiv_exact(a, b) == q
 
 
 def test_ddiv_exact_quotient_wider_than_dividend():
@@ -96,7 +94,6 @@ def test_ddiv_exact_quotient_wider_than_dividend():
         b = school_mul(b, [1, 1])
         q = school_mul(q, [-1, 1])
     assert ddiv_exact(school_mul(q, b), b) == q
-    assert _kdiv_exact(school_mul(q, b), b) == q
 
 
 def test_inverse_2adic():
@@ -125,15 +122,15 @@ def test_inexact_division_raises(n):
         ddiv_exact([1] * (n + 40), [3 ** 300] * n)  # divisor far wider than the dividend
 
 
-def test_packed_quotient_exact_at_the_slot_point_is_rejected(monkeypatch):
+def test_packed_quotient_exact_at_the_slot_point_is_rejected():
     # a = q b + (x - 2^w) s with s the balanced carries of q b in base 2^w:
-    # a(2^w) = q(2^w) b(2^w) and a's coefficients fit in the w-bit slot that
-    # _kdiv_exact picks first, yet b does not divide a, so only multiplying
-    # q back tells them apart
+    # a(2^w) = q(2^w) b(2^w) and a's coefficients fit in a w-bit slot, yet b
+    # does not divide a, so a quotient read from the packed integers alone
+    # would be wrong
     rng = random.Random(11)
     w = 64
-    b = [rng.randint(-2 ** 48, 2 ** 48) for _ in range(KRONECKER_MIN)] + [1]
-    q = [rng.randint(-2 ** 20, 2 ** 20) for _ in range(KRONECKER_MIN)] + [1]
+    b = [rng.randint(-2 ** 48, 2 ** 48) for _ in range(24)] + [1]
+    q = [rng.randint(-2 ** 20, 2 ** 20) for _ in range(24)] + [1]
     c = school_mul(q, b)
     s, carry = [], 0
     for x in c:
@@ -141,18 +138,9 @@ def test_packed_quotient_exact_at_the_slot_point_is_rejected(monkeypatch):
         s.append(carry)
     a = [x + (s[i - 1] if i else 0) - (s[i] << w) for i, x in enumerate(c)]
     assert any(s) and s[-1] == 0 and a[-1] == c[-1]
-    pack = realroots._pack
-    assert pack(a, w // 8) == pack(q, w // 8) * pack(b, w // 8)
-    nbytes = []
-
-    def recorded(poly, n):
-        nbytes.append(n)
-        return pack(poly, n)
-
-    monkeypatch.setattr(realroots, "_pack", recorded)
+    assert _pack(a, w // 8) == _pack(q, w // 8) * _pack(b, w // 8)
     with pytest.raises(ValueError):
         ddiv_exact(a, b)
-    assert nbytes[0] == w // 8
 
 
 def test_division_by_zero_polynomial():
