@@ -46,10 +46,8 @@ def _ranges(pairs: int):
 def _emit(payload, out: str | None, fmt: str = "json"):
     if fmt == "json":
         body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
-        body = _to_csv(payload)
     else:
-        raise DomainError(f"cannot render {fmt!r} for this command")
+        body = _to_csv(payload)
     if out:
         write_atomic(out, body)
     else:
@@ -57,9 +55,9 @@ def _emit(payload, out: str | None, fmt: str = "json"):
 
 
 def _to_csv(payload) -> str:
-    rows = payload.get("results", []) if isinstance(payload, dict) else payload
+    rows = payload.get("results")
     if not rows:
-        return "\n"
+        raise DomainError("--format csv needs a payload with results rows")
     keys = sorted({k for row in rows for k in row})
     lines = [",".join(keys)]
     for row in rows:
@@ -69,13 +67,13 @@ def _to_csv(payload) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="wronski", description=__doc__)
-    ap.add_argument("--config", help="JSON experiment config; overrides the subcommand")
+    ap.add_argument("--config", help="JSON experiment config, run as the command line it "
+                    "stands for; overrides the subcommand")
     sub = ap.add_subparsers(dest="command")
 
     def common(p):
         p.add_argument("--out", help="output file (atomic write); stdout otherwise")
         p.add_argument("--format", default="json", choices=["json", "csv"])
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("triangulate", help="honeycomb triangulation as JSON")
     p.add_argument("--delta", type=int, required=True)
@@ -102,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refine", type=int, default=2)
     p.add_argument("--t0-scan", type=_ranges(1), default=(Fraction(0), Fraction(1)),
                    metavar="A,B", help="window for reported real roots")
-    p.add_argument("--dump", help="write the slice polynomials to this file")
+    p.add_argument("--seed", type=int, default=0)
     common(p)
 
     p = sub.add_parser("pair", help="one curve pair: build and count real intersections")
@@ -111,10 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_fraction, required=True)
     p.add_argument("--c", type=_fraction_list, required=True, metavar="a,b,c")
     p.add_argument("--cprime", type=_fraction_list, required=True, metavar="d,e,f")
+    p.add_argument("--seed", type=int, default=0)
     common(p)
 
     p = sub.add_parser("montecarlo", help="random hexagon pairs, exact counts")
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--t-range", type=_ranges(1), default=(Fraction(-1), Fraction(1)))
     p.add_argument("--c-range", type=_ranges(1), default=(Fraction(-50), Fraction(50)))
     common(p)
@@ -128,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_ranges(2), default=(Fraction(-2), Fraction(2),
                                                              Fraction(-2), Fraction(2)))
     p.add_argument("--resolution", type=int, default=512)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True, help="SVG file (atomic write)")
     return ap
 
 
@@ -167,8 +168,6 @@ def _dispatch(args) -> int:
             payload = {"delta": args.delta,
                        "f": [str(f) for f in system.f],
                        "f_terms": [f.to_json() for f in system.f]}
-            if args.dump:
-                write_atomic(args.dump, json.dumps(payload, indent=2) + "\n")
             _emit(payload, args.out, args.format)
     elif cmd == "pair":
         rec = pair_experiment(args.delta, args.height, args.t, args.c, args.cprime,
@@ -178,8 +177,6 @@ def _dispatch(args) -> int:
         rec = monte_carlo_hexagon(args.n, args.seed, args.t_range, args.c_range)
         _emit(rec.to_json(), args.out, args.format)
     elif cmd == "plot":
-        if not args.out:
-            raise DomainError("plot requires --out FILE")
         plot_curves(args.delta, args.height, args.t, args.c, args.cprime,
                     args.window, args.resolution, args.out, seed=args.seed)
         sys.stdout.write(args.out + "\n")
@@ -188,36 +185,45 @@ def _dispatch(args) -> int:
     return 0
 
 
-def _run_config(path: str) -> int:
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = ExperimentConfig.from_json(json.load(fh))
-    if cfg.kind == "montecarlo":
-        rec = monte_carlo_hexagon(cfg.n, cfg.seed, cfg.t_range, cfg.c_range)
-    elif cfg.kind == "pair":
-        rec = pair_experiment(cfg.delta, cfg.height, cfg.t, cfg.c, cfg.cprime,
-                              seed=cfg.seed or 0)
-    elif cfg.kind == "meta":
-        rec = meta_report(cfg.delta, cfg.height, refine=cfg.refine, seed=cfg.seed or 0)
-    elif cfg.kind == "triangulate":
-        rec = triangulation_report(cfg.delta, cfg.height)
-    elif cfg.kind == "orient":
-        witness = orientation_witness(facet_system(standard_triangle(cfg.delta)))
-        _emit({"orientable": witness is not None,
-               "witness": list(witness) if witness else None}, cfg.out, cfg.fmt)
-        return 0
-    elif cfg.kind == "plot":
-        if not cfg.out:
-            raise DomainError("plot config requires an output path")
-        plot_curves(cfg.delta, cfg.height, cfg.t, cfg.c, cfg.cprime, cfg.window,
-                    cfg.resolution, cfg.out, seed=cfg.seed or 0)
-        return 0
-    else:
-        raise DomainError(f"unsupported config kind {cfg.kind!r}")
-    if cfg.out:
-        rec.write(cfg.out)
-    else:
-        _emit(rec.to_json(), None, "json")
-    return 0
+def _config_argv(obj) -> list:
+    """The command line a config object stands for.
+
+    `kind` names the subcommand; every other field f becomes --f=value, with
+    underscores as dashes, `fmt` as --format and lists joined by commas.  The
+    `=` form keeps negative values attached to their flag.
+    """
+    argv = [obj["kind"]]
+    for key, value in obj.items():
+        if key == "kind" or value is None:
+            continue
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        argv.append(f"--{'format' if key == 'fmt' else key.replace('_', '-')}={value}")
+    return argv
+
+
+def _parse_config(ap, path: str):
+    """Parse a JSON config as its subcommand's command line.
+
+    A meta config implies --eliminate and a triangulate config --report.  A
+    field the subcommand does not take is accepted only at its ExperimentConfig
+    default, so the `config` of any run record runs again as it stands.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(obj, dict) or not isinstance(obj.get("kind"), str):
+        raise DomainError(f"config {path} must be a JSON object with a string kind")
+    kind = obj["kind"]
+    implied = {"meta": ["--eliminate"], "triangulate": ["--report"]}.get(kind, [])
+    args, extra = ap.parse_known_args(_config_argv(obj) + implied)
+    defaults = set(_config_argv(ExperimentConfig(kind).to_json()))
+    unknown = [flag for flag in extra if flag not in defaults]
+    if unknown:
+        raise DomainError(f"{kind} does not take {', '.join(unknown)}")
+    return args
 
 
 _VALUE_FLAGS = {"--t", "--c", "--cprime", "--t-range", "--c-range", "--window", "--t0-scan"}
@@ -247,7 +253,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(_glue_negative_values(list(argv)))
     try:
         if args.config:
-            return _run_config(args.config)
+            args = _parse_config(ap, args.config)
         return _dispatch(args)
     except (DomainError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -92,19 +92,6 @@ class ExperimentConfig:
             out[k] = v
         return out
 
-    @classmethod
-    def from_json(cls, obj) -> "ExperimentConfig":
-        kw = dict(obj)
-        for key in ("t_range", "c_range", "window"):
-            if key in kw:
-                kw[key] = tuple(Fraction(str(x)) for x in kw[key])
-        for key in ("c", "cprime"):
-            if key in kw:
-                kw[key] = tuple(Fraction(str(x)) for x in kw[key])
-        if "t" in kw:
-            kw["t"] = Fraction(str(kw["t"]))
-        return cls(**kw).validate()
-
 
 @dataclass
 class RunRecord:

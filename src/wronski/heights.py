@@ -17,12 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .lattice import Triangulation2D, lattice_points, honeycomb_triangulation
-
-TAU = ((1, -1), (0, 1))  # maps conv{0,e1,e1+e2} onto the standard triangle
+from .lattice import Triangulation2D, edge_incidence, honeycomb_triangulation, lattice_points
 
 
 def tau_apply(p):
+    """Apply ((1, -1), (0, 1)), which maps conv{0, e1, e1+e2} onto the standard triangle."""
     return (p[0] - p[1], p[1])
 
 
@@ -149,13 +148,9 @@ class FoldInequality:
 
 def fold_inequalities(t13n: Triangulation2D):
     out = []
-    cells_by_edge = {}
-    for t in t13n.triangles:
-        a, b, c = t.vertices
-        for e in ((a, b), (a, c), (b, c)):
-            cells_by_edge.setdefault(tuple(sorted(e)), []).append(t.vertices)
+    cells_by_edge = edge_incidence(t13n.triangles)
     for edge in t13n.interior_edges:
-        t1, t2 = cells_by_edge[edge]
+        t1, t2 = (t.vertices for t in cells_by_edge[edge])
         q, r = edge
         p = next(v for v in t1 if v not in edge)
         s = next(v for v in t2 if v not in edge)
@@ -192,11 +187,7 @@ def _propagation_rounds(delta: int, seed: dict) -> dict:
     merged with max(), which keeps the result order-independent.
     """
     t13n = honeycomb_triangulation(delta)
-    cells_by_edge = {}
-    for t in t13n.triangles:
-        a, b, c = t.vertices
-        for e in ((a, b), (a, c), (b, c)):
-            cells_by_edge.setdefault(tuple(sorted(e)), []).append(t.vertices)
+    cells_by_edge = edge_incidence(t13n.triangles)
     values = dict(seed)
     todo = set(t13n.points) - set(values)
     while todo:
@@ -209,9 +200,9 @@ def _propagation_rounds(delta: int, seed: dict) -> dict:
             q, r = (v for v in t.vertices if v != p)
             edge = tuple(sorted((q, r)))
             for other in cells_by_edge[edge]:
-                if other == t.vertices:
+                if other is t:
                     continue
-                s = next(v for v in other if v not in edge)
+                s = next(v for v in other.vertices if v not in edge)
                 if s in values:
                     val = values[q] + values[r] - values[s] + 1
                     candidates[p] = max(candidates.get(p, val), val)

@@ -13,8 +13,6 @@ from importlib import resources
 
 from .errors import DomainError, NotFoldableError, StructureError
 
-Point = tuple  # (i, j) with integer entries
-
 
 @dataclass(frozen=True)
 class Triangle:
@@ -113,7 +111,7 @@ def honeycomb_triangulation(delta: int) -> Triangulation2D:
     return Triangulation2D(tuple(pts), tuple(tris), coloring, _interior_edges(tris))
 
 
-def _edge_incidence(triangles):
+def edge_incidence(triangles):
     inc = {}
     for t in triangles:
         a, b, c = t.vertices
@@ -124,7 +122,7 @@ def _edge_incidence(triangles):
 
 
 def _interior_edges(triangles):
-    inc = _edge_incidence(triangles)
+    inc = edge_incidence(triangles)
     return tuple(sorted(e for e, ts in inc.items() if len(ts) == 2))
 
 
@@ -190,7 +188,7 @@ def build_triangulation(points, triangle_indices, coloring=None, heights=None) -
     if used != set(pts):
         raise StructureError("every point must be a vertex of some triangle")
 
-    inc = _edge_incidence(tris)
+    inc = edge_incidence(tris)
     if any(len(ts) > 2 for ts in inc.values()):
         raise StructureError("an edge belongs to more than two triangles")
     hull = convex_hull_ccw(pts)
@@ -230,7 +228,7 @@ def compute_coloring(triangles) -> dict:
     col = {}
     a, b, c = triangles[0].vertices
     col[a], col[b], col[c] = 0, 1, 2
-    inc = _edge_incidence(triangles)
+    inc = edge_incidence(triangles)
     stack = [triangles[0]]
     seen = {triangles[0].vertices}
     while stack:
@@ -259,7 +257,7 @@ def compute_coloring(triangles) -> dict:
 
 
 def f_vector(t13n: Triangulation2D) -> FVector:
-    inc = _edge_incidence(t13n.triangles)
+    inc = edge_incidence(t13n.triangles)
     boundary_pts = set()
     for e, ts in inc.items():
         if len(ts) == 1:
@@ -272,7 +270,7 @@ def f_vector(t13n: Triangulation2D) -> FVector:
 def dual_bipartition(t13n: Triangulation2D):
     """Two-color the dual graph; black is the class of the lex-smallest cell."""
     tris = list(t13n.triangles)
-    inc = _edge_incidence(tris)
+    inc = edge_incidence(tris)
     color = {tris[0].vertices: 0}
     stack = [tris[0]]
     while stack:

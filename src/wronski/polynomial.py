@@ -71,10 +71,6 @@ class Polynomial:
         e = tuple(1 if x == name else 0 for x in v)
         return cls(v, {e: 1})
 
-    @classmethod
-    def monomial(cls, variables, exps, c=1):
-        return cls(variables, {tuple(exps): c})
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
