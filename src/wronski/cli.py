@@ -7,6 +7,8 @@ instance, 4 elimination failure.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from fractions import Fraction
@@ -59,10 +61,14 @@ def _to_csv(payload) -> str:
     if not rows:
         raise DomainError("--format csv needs a payload with results rows")
     keys = sorted({k for row in rows for k in row})
-    lines = [",".join(keys)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(keys)
     for row in rows:
-        lines.append(",".join(str(row.get(k, "")) for k in keys))
-    return "\n".join(lines) + "\n"
+        cells = (row.get(k, "") for k in keys)
+        writer.writerow([json.dumps(v, sort_keys=True) if isinstance(v, (list, dict)) else str(v)
+                         for v in cells])
+    return out.getvalue()
 
 
 def build_parser() -> argparse.ArgumentParser:

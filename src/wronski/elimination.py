@@ -17,19 +17,25 @@ nonreal x, y.  Two honest strengthenings are implemented:
   a polynomial in the other variable alone with no real zeros, the system has
   no real solutions at any t outside the stripped factors, whatever E looks
   like.
+
+Pairs of plane curves take an integer path instead: each curve becomes an
+integer grid once, each shear x <- x + s y expands it into integer rows, and
+the y-resultant is interpolated exactly from integer values at mn + 1
+abscissas (`resultants.interpolated_resultant`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .errors import DegenerateInstanceError, DomainError, EliminationError
 from .polynomial import Polynomial
 from .realroots import (IsolatingInterval, UnivariatePolynomial, count_real_roots, dcompress,
-                        ddiv_exact, dexpand, dexponent_gcd, dgcd, dmul, dprimitive,
+                        ddiv_exact, dexpand, dexponent_gcd, dgcd, dmul, dprimitive, dstrip,
                         isolate_real_roots, refine_interval, sturm_count)
-from .resultants import resultant, resultant_factors
+from .resultants import interpolated_resultant, resultant, resultant_factors
 from .rng import Stream, derive_seed
 from .systems import MetaSystem, boundary_subsystems
 
@@ -400,11 +406,15 @@ def _content_has_roots(content: UnivariatePolynomial, t_upper, deadline) -> bool
 def count_real_intersections(f: Polynomial, g: Polynomial, seed: int = 0):
     """Count distinct real affine intersection points of two plane curves.
 
-    On the shear found by sheared_resultant every root of the resultant
-    carries exactly one simple intersection point, and complex conjugation
-    forces the point over a real root to be real, so the count of real
-    resultant roots is the count of real intersection points.  Returns
-    (count, degree of the resultant); (0, 0) when the curves do not meet.
+    The count runs on integers from the shear to the resultant: each curve
+    is cleared of denominators once (`_integer_grid`), each shear is
+    expanded into integer rows (`_sheared_rows`), and the y-resultant u is
+    interpolated from integer values (`resultants.interpolated_resultant`).
+    On the shear found by sheared_resultant every root of u carries exactly
+    one simple intersection point, and complex conjugation forces the point
+    over a real root to be real, so the count of real roots of u is the
+    count of real intersection points.  Returns (count, degree of u);
+    (0, 0) when the curves do not meet.
     """
     if f.is_zero() or g.is_zero() or f.is_constant() or g.is_constant():
         raise DomainError("counting needs two nonconstant curves")
@@ -418,10 +428,14 @@ def sheared_resultant(f: Polynomial, g: Polynomial, seed: int = 0):
     Up to eight distinct nonzero shears s are drawn from the seed.  A shear is
     usable when both sheared curves have a constant leading y-coefficient and
     their y-resultant u(x) is nonzero and squarefree; a nonzero constant u
-    (the curves do not meet) is usable too.  Returns (s, fs, gs, u) with fs,
-    gs the sheared curves.  Raises EliminationError when every resultant
-    computed vanished (a shared component) and DegenerateInstanceError when
-    no shear was usable otherwise.
+    (the curves do not meet) is usable too.  For a curve of total degree m,
+    row m of the sheared curve is the constant f_m(s, 1) of its top form, so
+    the first test is that both rows are nonzero.  Returns (s, A, B, u) with
+    A, B the integer rows of the sheared curves (row j the ascending x-list
+    of the coefficient of y^j; each a nonzero rational multiple of the
+    sheared curve) and u their resultant.  Raises EliminationError when every
+    resultant computed vanished (a shared component) and
+    DegenerateInstanceError when no shear was usable otherwise.
     """
     stream = Stream(derive_seed(seed, 0x5EA2))
     shears = []
@@ -429,35 +443,45 @@ def sheared_resultant(f: Polynomial, g: Polynomial, seed: int = 0):
         s = stream.nonzero_int(9)
         if s not in shears:
             shears.append(s)
-    x = Polynomial.variable("x", ("x", "y"))
-    y = Polynomial.variable("y", ("x", "y"))
+    grids = [_integer_grid(p) for p in (f, g)]
+    degrees = [max((i + j for i, j in grid), default=-1) for grid in grids]
+    if min(degrees) < 1:
+        raise DegenerateInstanceError("degenerate instance: a curve is constant")
     computed = 0
     zero_count = 0
     for s in shears:
-        sub = {"x": x + s * y}
-        fs = f.substitute(sub)
-        gs = g.substitute(sub)
-        if not _constant_leading_y(fs) or not _constant_leading_y(gs):
+        A, B = (_sheared_rows(grid, m, s) for grid, m in zip(grids, degrees))
+        if not (A[-1] and B[-1]):
             continue
         computed += 1
-        R = resultant(fs, gs, "y")
-        if R.is_zero():
+        u = UnivariatePolynomial(interpolated_resultant(A, B))
+        if u.is_zero():
             zero_count += 1
             continue
-        u = UnivariatePolynomial(R.dense("x"))
         if u.is_squarefree():
-            return s, fs, gs, u
+            return s, A, B, u
     if computed and zero_count == computed:
         raise EliminationError("non-finite intersection: curves share a component")
     raise DegenerateInstanceError("degenerate instance: resultant never squarefree")
 
 
-def _constant_leading_y(p: Polynomial) -> bool:
-    d = p.degree("y")
-    if d <= 0:
-        return False
-    lead = p.as_univariate("y")[d]
-    return lead.is_constant() and d == p.total_degree()
+def _integer_grid(p: Polynomial):
+    """{(i, j): a_ij} with sum a_ij x^i y^j the primitive integer multiple of a plane curve."""
+    try:
+        q = p.drop_unused().with_variables(("x", "y"))
+    except ValueError as exc:
+        raise DomainError("a plane curve lives in x and y alone") from exc
+    c = q.content()
+    return {e: (a / c).numerator for e, a in q.terms.items()}
+
+
+def _sheared_rows(grid, m: int, s: int):
+    """Rows of f(x + s y, y) for f of total degree m: row j is its y^j coefficient in x."""
+    rows = [[0] * (m - j + 1) for j in range(m + 1)]
+    for (i, j), a in grid.items():
+        for k in range(i + 1):  # a (x + s y)^i y^j holds a C(i, k) s^(i-k) x^k y^(i-k+j)
+            rows[i - k + j][k] += a * comb(i, k) * s ** (i - k)
+    return [dstrip(row) for row in rows]
 
 
 # -- boundary strata -----------------------------------------------------------------

@@ -96,7 +96,7 @@ def exact_intersection_markers(f: Polynomial, g: Polynomial, seed: int = 0):
     raise DegenerateInstanceError.
     """
     try:
-        s, fs, gs, u = sheared_resultant(f, g, seed)
+        s, A, B, u = sheared_resultant(f, g, seed)
     except EliminationError as exc:
         raise DegenerateInstanceError("no usable shear for marker extraction") from exc
     if u.degree() <= 0:
@@ -105,18 +105,25 @@ def exact_intersection_markers(f: Polynomial, g: Polynomial, seed: int = 0):
     for iv in isolate_real_roots(u):
         iv = refine_interval(u, iv, Fraction(1, 10 ** 6))
         x_hat = float(iv.midpoint())
-        y_c = _fiber_root(fs, gs, x_hat)
+        y_c = _fiber_root(A, B, x_hat)
         if y_c is None:
             continue
-        # fs(X, y) = f(X + s y, y), so the original abscissa is X + s y
+        # the rows are those of f(X + s y, y), so the original abscissa is X + s y
         markers.append((x_hat + s * y_c, y_c))
     return markers
 
 
-def _fiber_root(fs: Polynomial, gs: Polynomial, x0: float):
-    """Real y over a sheared abscissa, found numerically (markers only)."""
-    fy = [_horner_x(c, x0) for c in fs.as_univariate("y")]
-    gy = [_horner_x(c, x0) for c in gs.as_univariate("y")]
+def _fiber_root(A, B, x0: float):
+    """Real y over a sheared abscissa, found numerically from integer rows (markers only).
+
+    Each curve's rows are divided by a power of two above its largest
+    coefficient first, so that no integer is too large for a float.
+    """
+    values = []
+    for rows in (A, B):
+        top = 1 << max(abs(c).bit_length() for row in rows for c in row)
+        values.append([_horner_float([c / top for c in row], x0) for row in rows])
+    fy, gy = values
     best = None
     for r in _real_roots_float(fy):
         res = abs(_horner_float(gy, r))
@@ -125,12 +132,6 @@ def _fiber_root(fs: Polynomial, gs: Polynomial, x0: float):
     if best is None:
         return None
     return best[1]
-
-
-def _horner_x(c: Polynomial, x0: float) -> float:
-    lst = c.as_univariate("x") if "x" in c.vars else [c]
-    vals = [float(Fraction(p.constant_value())) for p in lst]
-    return _horner_float(vals, x0)
 
 
 def _horner_float(coeffs, x: float) -> float:

@@ -40,7 +40,8 @@ The integer-list kernels `dmul` and `ddiv_exact` are schoolbook loops.
 Integer quotients (`dquo_exact`) switch on size: `divmod` while the quotient
 or the divisor is below QUOTIENT_2ADIC_BITS, a 2-adic quotient (Jebelean)
 from there on, each checked; an inexact division raises ValueError.  They
-serve the exact divisions of the resultant PRS.
+serve the exact divisions of the resultant PRS, and `dinterpolate` (Newton
+interpolation at integer nodes, equally checked) its interpolated form.
 """
 
 from __future__ import annotations
@@ -165,6 +166,32 @@ def dexpand(a, g: int):
     out = [0] * ((len(a) - 1) * g + 1) if a else []
     out[::g] = a
     return out
+
+
+def dinterpolate(xs, values):
+    """The integer polynomial of degree below len(xs) through (xs[k], values[k]).
+
+    Newton divided differences over distinct integer nodes.  The k-th
+    divided difference of p = sum p_d x^d is sum p_d h_(d-k)(x_0, ..., x_k),
+    h_j the complete homogeneous symmetric polynomial of degree j, so for
+    an integer polynomial at integer nodes every difference is an integer
+    and each division is exact.  An inexact division raises ValueError: no
+    integer polynomial takes those values.
+    """
+    c = list(values)
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            q, r = divmod(c[i] - c[i - 1], xs[i] - xs[i - k])
+            if r:
+                raise ValueError("not an exact division")
+            c[i] = q
+    out = []
+    for node, ck in zip(reversed(xs), reversed(c)):  # out <- out (x - node) + c_k
+        out = [0] + out
+        for i in range(len(out) - 1):
+            out[i] -= node * out[i + 1]
+        out[0] += ck
+    return dstrip(out)
 
 
 # -- exact integer quotients -------------------------------------------------------

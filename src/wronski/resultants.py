@@ -61,7 +61,11 @@ over Z, whatever degree sequence it takes, so reading the balanced digits
 of its result (`_unpack`) returns Res.  Its pseudo-remainder is
 `realroots.dprem`; its exact divisions are `realroots.dquo_exact`, which
 switches to a 2-adic quotient, checked by multiplying back, for the
-Mbit-sized integers of the largest eliminations.  A direct
+Mbit-sized integers of the largest eliminations.
+
+Plane curves with constant leading y-coefficients take
+`interpolated_resultant` instead: the same PRS at mn + 1 integer abscissas,
+then exact interpolation (the degree bound is proved there).  A direct
 Sylvester-determinant evaluator is provided as an independent cross-check
 for small degrees.
 """
@@ -73,7 +77,7 @@ from math import gcd
 
 from .errors import DomainError
 from .polynomial import Polynomial
-from .realroots import dcompress, dexponent_gcd, dprem, dquo_exact
+from .realroots import dcompress, dexponent_gcd, dinterpolate, dprem, dquo_exact
 
 
 def _prs_resultant(A, B, deadline=None) -> int:
@@ -105,6 +109,51 @@ def _prs_resultant(A, B, deadline=None) -> int:
             break
     dA = len(A) - 1
     return sign * dquo_exact([B[0] ** dA], h ** (dA - 1))[0]
+
+
+def interpolated_resultant(A, B):
+    """Res_y(A, B) as an integer list in x, by evaluation and interpolation.
+
+    A = sum_j A_j(x) y^j and B = sum_j B_j(x) y^j are given by their rows:
+    A_j is an ascending integer list in x of degree at most m - j, the top
+    row A_m a nonzero constant (likewise B, n >= 1), as for plane curves of
+    total degree m and n with a constant leading y-coefficient.  The
+    resultant u(x) is evaluated at the mn + 1 integer abscissas 0, 1, -1,
+    2, -2, ..., each by one PRS on plain integers, and interpolated exactly
+    (`realroots.dinterpolate`).  Both facts this rests on:
+
+    * Specialisation is exact.  Res_y(A, B) is the determinant of the
+      Sylvester matrix built with the formal degrees m and n.  Since A_m and
+      B_n are nonzero constants, A(x0, y) and B(x0, y) keep the degrees m
+      and n at every x0, so their Sylvester matrix is the specialised one
+      and u(x0) = Res_y(A(x0, y), B(x0, y)).
+    * deg_x u <= mn (Bezout).  Order the Sylvester columns p = 0, ..., m+n-1
+      by ascending powers of y (reversing them only changes the sign): A-row
+      k (k < n) holds A_j in column p = j + k, B-row k (k < m) holds B_j in
+      column p = j + k.  Each entry's degree is then at most rho_row +
+      kappa_col, with rho = m + k on A-row k, rho = n + k on B-row k and
+      kappa_p = -p, because deg A_j <= m - j = m + k - p and deg B_j <=
+      n + k - p (zero entries need no bound).  Each term of the determinant
+      takes one entry from every row and every column, so its degree is at
+      most sum rho + sum kappa = (mn + n(n-1)/2) + (mn + m(m-1)/2)
+      - (m+n)(m+n-1)/2 = mn.
+
+    So u has degree at most mn and integer coefficients, and mn + 1
+    distinct values determine it.
+    """
+    m, n = len(A) - 1, len(B) - 1
+    xs = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(m * n + 1)]
+    values = [_prs_resultant([_value_at(row, x) for row in A], [_value_at(row, x) for row in B])
+              for x in xs]
+    return dinterpolate(xs, values)
+
+
+def _value_at(a, x: int) -> int:
+    """a(x) for an ascending integer list a (0 for the empty list)."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
 
 
 # -- public entry points ----------------------------------------------------------

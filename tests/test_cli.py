@@ -1,7 +1,9 @@
 """The `wronski` front end: one parser and one dispatcher for argv and `--config`."""
 
 import ast
+import csv
 import inspect
+import io
 import json
 import textwrap
 from fractions import Fraction as Q
@@ -106,3 +108,18 @@ def test_malformed_config_exits_2(text, tmp_path, capsys):
 def test_csv_without_results_rows_exits_2(capsys):
     code, out, err = _run(["orient", "--delta", "3", "--format", "csv"], capsys)
     assert code == 2 and not out and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [["pair", *PAIR], ["meta", "--delta", "3", "--eliminate"]])
+def test_csv_has_one_field_per_header_column(argv, capsys):
+    code, out, _ = _run([*argv, "--format", "csv"], capsys)
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert rows and all(len(row) == len(header) for row in rows)
+    code, out, _ = _run(argv, capsys)
+    records = json.loads(out)["results"]
+    # a list or dict cell holds its JSON
+    for record, row in zip(records, rows):
+        for key, cell in zip(header, row):
+            if isinstance(record[key], (list, dict)):
+                assert json.loads(cell) == record[key]

@@ -2,13 +2,15 @@ from fractions import Fraction as Q
 
 import pytest
 
-from wronski.elimination import count_real_intersections
+from wronski.elimination import count_real_intersections, sheared_resultant
 from wronski.errors import DegenerateInstanceError, EliminationError
 from wronski.heights import HeightFunction
 from wronski.lattice import hexagon_example
 from wronski.plotting import exact_intersection_markers
 from wronski.polynomial import Polynomial
-from wronski.rng import Stream
+from wronski.realroots import UnivariatePolynomial
+from wronski.resultants import resultant
+from wronski.rng import Stream, derive_seed
 from wronski.systems import wronski_from_points, wronski_pair
 
 XY = ("x", "y")
@@ -134,3 +136,50 @@ def test_hexagon_counts_land_in_two_or_six():
         count, total = count_real_intersections(w1, w2, seed=k)
         assert total == 6
         assert count in (2, 6)
+
+
+def _sheared_oracle(f, g, seed):
+    """The first usable shear by sparse substitution and the general resultant."""
+    stream = Stream(derive_seed(seed, 0x5EA2))
+    shears = []
+    while len(shears) < 8:
+        s = stream.nonzero_int(9)
+        if s not in shears:
+            shears.append(s)
+    x = Polynomial.variable("x", XY)
+    y = Polynomial.variable("y", XY)
+    for s in shears:
+        fs, gs = (p.substitute({"x": x + s * y}) for p in (f, g))
+        if any(p.degree("y") != p.total_degree() or not p.as_univariate("y")[-1].is_constant()
+               for p in (fs, gs)):
+            continue
+        R = resultant(fs, gs, "y")
+        if R.is_zero():
+            continue
+        u = UnivariatePolynomial(R.dense("x"))
+        if u.is_squarefree():
+            return s, fs, gs, u
+    return None
+
+
+def test_sheared_resultant_matches_the_substitution_oracle():
+    stream = Stream(0x5EA8)
+    done = 0
+    while done < 12:
+        delta = 3 + done % 3
+        c = _random_c(stream)
+        cp = _random_c(stream)
+        t = Q(stream.int_in(1, 99), 100)
+        f, g = wronski_pair(delta, HeightFunction.rho(delta), c, cp, t).polys
+        oracle = _sheared_oracle(f, g, done)
+        if oracle is None:
+            continue
+        s, A, B, u = sheared_resultant(f, g, seed=done)
+        assert s == oracle[0]
+        # u and the rows are nonzero rational multiples of the oracle's
+        assert u.int_primitive() == oracle[3].int_primitive()
+        for rows, p in ((A, oracle[1]), (B, oracle[2])):
+            expected = [c.dense("x") for c in p.as_univariate("y")]
+            scale = Q(rows[-1][0]) / expected[-1][0]
+            assert rows == [[scale * c for c in row] for row in expected]
+        done += 1

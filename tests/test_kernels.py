@@ -11,8 +11,8 @@ from wronski import realroots
 from wronski.polynomial import Polynomial
 from wronski.realroots import (CERTIFICATE_PRIMES, QUOTIENT_2ADIC_BITS, _inverse_2adic,
                                _is_prime, _primes, dcompress, ddiv_exact, dexpand,
-                               dexponent_gcd, dgcd, dmul, dneg, dprem, dprimitive, dquo_exact,
-                               dstrip)
+                               dexponent_gcd, dgcd, dinterpolate, dmul, dneg, dprem, dprimitive,
+                               dquo_exact, dstrip)
 from wronski.resultants import _pack, resultant, sylvester_resultant
 
 SIZES = (1, 8, 23, 24, 25, 61, 130)
@@ -246,6 +246,40 @@ def test_inexact_quotient_raises(bits):
     with pytest.raises(ZeroDivisionError):
         dquo_exact([q], 0)
 
+
+
+# -- exact interpolation ----------------------------------------------------------------
+
+
+def _value(a, x):
+    return sum(c * x ** k for k, c in enumerate(a))
+
+
+@pytest.mark.parametrize("bits", [1, 64, 1700])
+def test_dinterpolate_recovers_integer_polynomials(bits):
+    rng = random.Random(bits)
+    nodes = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6]
+    for deg in range(len(nodes)):
+        p = rand_poly(rng, deg + 1, bits)
+        assert dinterpolate(nodes, [_value(p, x) for x in nodes]) == p
+    # any distinct integer nodes, in any order
+    p = rand_poly(rng, 5, bits)
+    nodes = [7, -3, 100, 0, -41, 2]
+    assert dinterpolate(nodes, [_value(p, x) for x in nodes]) == p
+
+
+def test_dinterpolate_degree_below_the_node_count():
+    nodes = [0, 1, -1, 2, -2, 3, -3]
+    for p in ([], [5], [-3, 0, 2], [0, 0, 0, 1]):
+        assert dinterpolate(nodes, [_value(p, x) for x in nodes]) == p
+    assert dinterpolate([4], [9]) == [9]
+
+
+def test_dinterpolate_rejects_values_of_no_integer_polynomial():
+    with pytest.raises(ValueError):
+        dinterpolate([0, 2], [0, 1])  # the line through them has slope 1/2
+    with pytest.raises(ValueError):
+        dinterpolate([0, 1, -1], [0, 0, 1])  # x (x - 1) / 2
 
 # -- the modular gcd -------------------------------------------------------------------
 

@@ -344,3 +344,51 @@ def test_one_point_refuses_a_vanishing_leading_coefficient(monkeypatch):
     TY = ("t", "y")
     with pytest.raises(ArithmeticError):
         resultant(Polynomial(TY, {(1, 1): 1, (0, 0): 1}), Polynomial(TY, {(0, 2): 1, (1, 0): 1}), "y")
+
+
+# -- the plane-curve resultant by evaluation and interpolation ------------------------
+
+
+def _rows(p):
+    """Rows of a curve in x, y: row j is the integer x-list of its y^j coefficient."""
+    return [c.dense("x") for c in p.as_univariate("y")]
+
+
+def _curve(rng, m, bits=8):
+    """A random integer curve of total degree m with a constant leading y-coefficient."""
+    terms = {(i, j): rng.randint(-2 ** bits, 2 ** bits)
+             for j in range(m + 1) for i in range(m - j + 1) if rng.random() < 0.8}
+    terms[(0, m)] = rng.choice([-3, -1, 1, 2, 5])
+    return Polynomial(XY, terms)
+
+
+def test_interpolated_resultant_matches_resultant_and_sylvester():
+    rng = random.Random(0x1E7)
+    full_degree = 0
+    for m in range(1, 6):
+        for n in range(1, 6):
+            for trial in range(3):
+                f, g = _curve(rng, m, rng.choice([2, 40])), _curve(rng, n, rng.choice([2, 40]))
+                u = resultants.interpolated_resultant(_rows(f), _rows(g))
+                assert u == resultant(f, g, "y").dense("x"), (m, n, trial)
+                assert len(u) - 1 <= m * n
+                full_degree += len(u) - 1 == m * n
+                if m + n <= 7 and trial == 0:
+                    assert u == sylvester_resultant(f, g, "y").dense("x"), (m, n)
+    assert full_degree >= 60
+
+
+def test_interpolated_resultant_special_cases():
+    x = Polynomial.variable("x", XY)
+    y = Polynomial.variable("y", XY)
+    circle, line = x ** 2 + y ** 2 - 1, y - 2 * x
+    # Res_y = x^2 + (2x)^2 - 1 reaches the Bezout degree mn = 2
+    assert resultants.interpolated_resultant(_rows(circle), _rows(line)) == [-1, 0, 5]
+    # parallel lines never meet: a nonzero constant
+    assert resultants.interpolated_resultant(_rows(y + x), _rows(y + x + 1)) in ([1], [-1])
+    # a shared factor: zero
+    shared = y ** 2 + 3 * x * y - x + 7
+    rng = random.Random(5)
+    for m, n in ((1, 1), (2, 3), (3, 2)):
+        f, g = shared * _curve(rng, m), shared * _curve(rng, n)
+        assert resultants.interpolated_resultant(_rows(f), _rows(g)) == []
