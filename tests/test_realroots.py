@@ -133,6 +133,43 @@ def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
     assert len(seen) == len(set(seen)) > 12
 
 
+def _isolation_family():
+    """Polynomials that exercise every branch of the isolation walk.
+
+    One of the seeded random products, 10x^5 + 31x^4 - x^3 - 24x^2 + 24x - 40,
+    has its rational root -5/2 at a midpoint of the bisection tree, so the
+    walk restarts on the deflated polynomial.
+    """
+    stream = Stream(14)
+    family = [
+        U.from_roots([1, 2, 3, 4, 5]),  # adjacent exact dyadic roots
+        U.from_roots([Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10 ** 30), 7]) * U([5, -4, 1]),
+        U.from_roots([Fraction(1, 2), -3]) * U([2 ** 80 + 1, 0, 1]),  # Cauchy bound near 2^80
+        U.from_roots([2, 2, Fraction(-5, 4)]) * U([6]) * U([1, 1, 1]),  # content 6, a square
+    ]
+    for _ in range(6):  # 80-bit coefficients
+        family.append(U([stream.int_in(-2 ** 80, 2 ** 80) for _ in range(stream.int_in(2, 9))]))
+    for _ in range(14):
+        roots = [Fraction(stream.int_in(-40, 40), stream.int_in(1, 4))
+                 for _ in range(stream.int_in(2, 6))]
+        family.append(U.from_roots(roots) * U([stream.int_in(1, 9), stream.int_in(-3, 3),
+                                               stream.int_in(1, 9)]))
+    return family
+
+
+def test_isolating_intervals_are_pinned():
+    import json
+    import zlib
+
+    data = []
+    for p in _isolation_family():
+        ivs = isolate_real_roots(p)
+        data.append([[str(iv.lo), str(iv.hi), iv.multiplicity_free] for iv in ivs])
+        data.append([[str(r.lo), str(r.hi)]
+                     for r in (refine_interval(p, iv, Fraction(1, 2 ** 20)) for iv in ivs)])
+    assert zlib.crc32(json.dumps(data).encode()) == 2955359611
+
+
 def test_refine_interval_width():
     p = U([-2, 0, 1])
     iv = isolate_real_roots(p)[1]
