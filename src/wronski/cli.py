@@ -103,10 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--height", default="rho")
     p.add_argument("--eliminate", action="store_true")
-    p.add_argument("--refine", type=int, default=2)
-    p.add_argument("--t0-scan", type=_ranges(1), default=(Fraction(0), Fraction(1)),
-                   metavar="A,B", help="window for reported real roots")
-    p.add_argument("--seed", type=int, default=0)
+    # read by --eliminate alone, so left None when not given (see _dispatch)
+    p.add_argument("--refine", type=int, help="refinement rounds (default 2)")
+    p.add_argument("--t0-scan", type=_ranges(1), metavar="A,B",
+                   help="window for reported real roots (default 0,1)")
+    p.add_argument("--seed", type=int, help="shear seed (default 0)")
     common(p)
 
     p = sub.add_parser("pair", help="one curve pair: build and count real intersections")
@@ -165,10 +166,14 @@ def _dispatch(args) -> int:
                 {"kind": v.kind, "anchor": list(v.anchor)} for v in violations]
         _emit(payload, args.out, args.format)
     elif cmd == "meta":
+        options = {"refine": args.refine, "seed": args.seed, "scan": args.t0_scan}
+        given = {key: value for key, value in options.items() if value is not None}
         if args.eliminate:
-            rec = meta_report(args.delta, args.height, refine=args.refine,
-                              seed=args.seed, scan=args.t0_scan)
+            rec = meta_report(args.delta, args.height, **given)
             _emit(rec.to_json(), args.out, args.format)
+        elif given:
+            flags = ", ".join("--t0-scan" if key == "scan" else f"--{key}" for key in given)
+            raise DomainError(f"meta takes {flags} only with --eliminate")
         else:
             system = meta_system(args.delta, resolve_height(args.height, args.delta))
             payload = {"delta": args.delta,

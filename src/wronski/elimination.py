@@ -98,15 +98,18 @@ class ProjectionFactor:
     t_power: int
     content: UnivariatePolynomial  # [1] when trivial
 
-    def t_free_no_real_zeros(self) -> bool:
-        """True when poly involves only the surviving variable and has no real zeros."""
+    def t_free_no_real_zeros(self, deadline=None) -> bool:
+        """True when poly involves only the surviving variable and has no real zeros.
+
+        The root count raises TimeoutError past the deadline.
+        """
         if self.surviving_var is None or self.poly.degree("t") > 0:
             return False
         try:
             u = UnivariatePolynomial(self.poly.dense(self.surviving_var))
         except DomainError:
             return False
-        return not u.is_zero() and (u.degree() == 0 or count_real_roots(u) == 0)
+        return not u.is_zero() and (u.degree() == 0 or count_real_roots(u, deadline) == 0)
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,8 @@ class EliminationResult:
 
         A candidate is kept when its root lies in the window, decided exactly
         (see _root_in_window); lo or hi None leaves that side open.
-        Isolation and refinement raise TimeoutError past the deadline.
+        Isolation, refinement and window counts raise TimeoutError past the
+        deadline.
         """
         lo = Fraction(lo) if lo is not None else None
         hi = Fraction(hi) if hi is not None else None
@@ -146,7 +150,7 @@ class EliminationResult:
             for iv in isolate_real_roots(src, deadline):
                 if refine_width is not None:
                     iv = refine_interval(src, iv, Fraction(refine_width), deadline)
-                if _root_in_window(src, iv, lo, hi):
+                if _root_in_window(src, iv, lo, hi, deadline):
                     own.append(iv)
         zero = IsolatingInterval(Fraction(0), Fraction(0))
         if self.t_power_removed and include_zero and _root_in_window(None, zero, lo, hi):
@@ -365,7 +369,7 @@ def certify_elimination(result: EliminationResult, t_upper=None, deadline=None) 
         scope = "t != 0" if t_upper is None else f"0 < t <= {t_upper}"
         return Certificate(True, "eliminant", f"no real candidate roots with {scope}")
     for pr in result.projections:
-        if pr.t_free_no_real_zeros() and not (
+        if pr.t_free_no_real_zeros(deadline) and not (
                 pr.content.degree() > 0 and _content_has_roots(pr.content, hi, deadline)):
             return Certificate(
                 True, "projection-factor",
@@ -376,13 +380,14 @@ def certify_elimination(result: EliminationResult, t_upper=None, deadline=None) 
                        tuple(candidates))
 
 
-def _root_in_window(src, iv: IsolatingInterval, lo, hi) -> bool:
+def _root_in_window(src, iv: IsolatingInterval, lo, hi, deadline=None) -> bool:
     """Whether the root of src that iv isolates lies in (lo, hi], decided exactly.
 
     lo or hi None leaves that side open.  A point is its root (src is not
     consulted).  A proper interval holds exactly one root of src, strictly
     inside, so it lies in the window when the interval does, and otherwise
-    exactly when src has a root in the overlap (max(iv.lo, lo), min(iv.hi, hi)].
+    exactly when src has a root in the overlap (max(iv.lo, lo), min(iv.hi, hi)];
+    that count raises TimeoutError past the deadline.
     """
     if iv.is_point:
         return (lo is None or lo < iv.lo) and (hi is None or iv.lo <= hi)
@@ -390,13 +395,13 @@ def _root_in_window(src, iv: IsolatingInterval, lo, hi) -> bool:
     b = iv.hi if hi is None else min(iv.hi, hi)
     if (a, b) == (iv.lo, iv.hi):
         return True
-    return a < b and sturm_count(src, (a, b)) > 0
+    return a < b and sturm_count(src, (a, b), deadline) > 0
 
 
 def _content_has_roots(content: UnivariatePolynomial, t_upper, deadline) -> bool:
     """Whether content vanishes in (0, t_upper], or anywhere but 0 when t_upper is None."""
     if t_upper is not None:
-        return sturm_count(content, (0, t_upper)) > 0
+        return sturm_count(content, (0, t_upper), deadline) > 0
     return any(not (iv.is_point and iv.lo == 0) for iv in isolate_real_roots(content, deadline))
 
 

@@ -19,24 +19,29 @@ of it shares one gcd, and each polynomial is isolated once.
   usually gives a unit image, which proves squarefreeness over Q at once and
   keeps the primitive polynomial as its own squarefree part; any other
   outcome is decided by the exact gcd.
-* Counting.  `count_real_roots` runs Descartes-rule bisection
-  (Collins-Akritas) on the squarefree part in integer arithmetic alone:
-  x = 0 is taken apart, each half-line is mapped into (0, 1) by a
-  power-of-two root bound, and subintervals are split with
-  2^n q(x / 2) and Taylor shifts by 1.
-* Sturm.  `sturm_count` counts roots in a half-open interval (a, b] from a
-  primitive integer Sturm chain built with sign-corrected pseudo-remainders;
-  it is the reference the Descartes counter is tested against, and
-  isolation and refinement bisect with it.  Signs at rational points n/d
+* Real roots.  One engine, Descartes-rule bisection (Collins-Akritas) on
+  the squarefree part in integer arithmetic alone: x = 0 is taken apart,
+  each half-line is mapped into (0, 1) by a power-of-two root bound, and
+  subintervals are split with 2^n q(x / 2) and Taylor shifts by 1.  It
+  returns isolating data (open dyadic intervals with one root each, dyadic
+  points for roots met at a midpoint); `count_real_roots` is its length and
+  `sturm_count` counts (a, b] as rank(b) - rank(a), rank(x) being the number
+  of roots at or below x.  Isolation walks the bisection tree the Sturm
+  chain once drove (breaks at the Cauchy bounds, 0 and exact roots found; a
+  node split while it holds two roots or more; a restart on the deflated
+  polynomial when a split point is a root) with exact rank differences as
+  its counts, so the intervals and their refinements, which tests and the
+  meta_report payloads pin, are unchanged.  Signs at rational points n/d
   are taken in integers, from d^deg q(n/d) for the primitive squarefree
   part q (positive leading coefficient), and an exact rational root is
   divided out as the integer factor d x - n.  Intervals returned by the
   isolator are pairwise disjoint and each contains exactly one distinct
   real root; exact rational roots come back as degenerate [r, r] intervals.
-  Isolation and refinement take an optional deadline, checked on each
-  bisection step.
+  Counts, isolation and refinement take an optional deadline, checked on
+  each subdivision or bisection step.
 
-The integer-list kernels `dmul` and `ddiv_exact` are schoolbook loops.
+The integer-list kernels `dmul` and `ddiv_exact` are schoolbook loops, and
+`dprem` is the pseudo-remainder of the resultant PRS.
 Integer quotients (`dquo_exact`) switch on size: `divmod` while the quotient
 or the divisor is below QUOTIENT_2ADIC_BITS, a 2-adic quotient (Jebelean)
 from there on, each checked; an inexact division raises ValueError.  They
@@ -77,6 +82,10 @@ def dmul(a, b):
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
     return dstrip(out)
+
+
+def dderiv(a):
+    return dstrip([k * c for k, c in enumerate(a)][1:])
 
 
 def dscale(a, k):
@@ -493,8 +502,7 @@ class UnivariatePolynomial:
             if len(ints) <= 1:
                 sf = UnivariatePolynomial(ints and [1])
             else:
-                deriv = dstrip([k * c for k, c in enumerate(ints)][1:])
-                sf = UnivariatePolynomial(_gcd_cofactor(ints, deriv, deadline)[1])
+                sf = UnivariatePolynomial(_gcd_cofactor(ints, dderiv(ints), deadline)[1])
             sf._sf = sf
             self._sf = sf
         return self._sf
@@ -532,35 +540,6 @@ def _check_deadline(deadline, what: str):
         raise TimeoutError(f"{what} exceeded its deadline")
 
 
-# -- Sturm machinery -------------------------------------------------------------
-
-
-def sturm_chain(ints):
-    """Primitive integer Sturm chain of a squarefree integer polynomial."""
-    chain = [list(ints)]
-    deriv = dstrip([k * c for k, c in enumerate(ints)][1:])
-    if deriv:
-        chain.append(dprimitive(deriv))
-    while len(chain[-1]) - 1 > 0:
-        a, b = chain[-2], chain[-1]
-        delta = len(a) - len(b)
-        r = dprem(a, b)
-        if not r:
-            break
-        # dprem scales by lc(b)^(delta+1); flip so the chain sign matches -rem
-        if b[-1] < 0 and (delta + 1) % 2 == 1:
-            nxt = r
-        else:
-            nxt = dneg(r)
-        chain.append(dprimitive(nxt))
-    return chain
-
-
-def _variations(signs) -> int:
-    nz = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(nz, nz[1:]) if a * b < 0)
-
-
 def _sign_at(ints, x: Fraction) -> int:
     """Sign of the polynomial at x = n/d, from the integer d^deg p(n/d) (d > 0)."""
     n, d = x.numerator, x.denominator
@@ -571,43 +550,7 @@ def _sign_at(ints, x: Fraction) -> int:
     return (v > 0) - (v < 0)
 
 
-def _variations_at(chain, x: Fraction) -> int:
-    return _variations([_sign_at(p, x) for p in chain])
-
-
-def _variations_at_inf(chain, positive: bool) -> int:
-    signs = []
-    for p in chain:
-        s = (p[-1] > 0) - (p[-1] < 0)
-        if not positive and (len(p) - 1) % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
-
-
-def sturm_count(p: UnivariatePolynomial, interval) -> int:
-    """Number of distinct real roots in (a, b]; a may be None (-inf), b None (+inf)."""
-    if p.is_zero():
-        raise DomainError("identically zero polynomial")
-    a, b = interval
-    if a is not None and b is not None and Fraction(a) >= Fraction(b):
-        raise DomainError("need a < b")
-    q = _squarefree(p).coeffs
-    extra = 0
-    if b is not None and _sign_at(q, Fraction(b)) == 0:
-        extra = 1
-        q = _drop_root(q, Fraction(b))
-    if a is not None:
-        q = _drop_roots_at(q, [Fraction(a)])
-    if len(q) <= 1:
-        return extra
-    chain = sturm_chain(q)
-    va = _variations_at_inf(chain, False) if a is None else _variations_at(chain, Fraction(a))
-    vb = _variations_at_inf(chain, True) if b is None else _variations_at(chain, Fraction(b))
-    return va - vb + extra
-
-
-# -- Descartes counting ------------------------------------------------------------
+# -- real roots: Descartes subdivision ----------------------------------------------
 #
 # Collins-Akritas bisection in the form of Rouillier and Zimmermann: the roots
 # of a squarefree polynomial q in (0, 1) are the positive roots of
@@ -615,6 +558,11 @@ def sturm_count(p: UnivariatePolynomial, interval) -> int:
 # number and equal it when that bound is 0 or 1 (the one- and two-circle
 # theorems).  Otherwise (0, 1) is split at 1/2 through 2^n q(x / 2) and its
 # Taylor shift by 1, which needs integer additions and shifts only.
+
+
+def _variations(signs) -> int:
+    nz = [s for s in signs if s != 0]
+    return sum(1 for a, b in zip(nz, nz[1:]) if a * b < 0)
 
 
 def _taylor1(a):
@@ -647,51 +595,100 @@ def _root_bits(a) -> int:
                    for i in range(1, n + 1) if a[n - i])
 
 
-def _unit_roots(q) -> int:
-    """Roots in (0, 1) of a squarefree integer polynomial with q(0), q(1) nonzero."""
-    count = 0
-    stack = [q]
+def _unit_roots(q, k: int, deadline):
+    """Isolating data of the roots in (0, 1), scaled by 2^k, of a squarefree q.
+
+    q(0), q(1) are nonzero.  A node (q, j, e) stands for (j / 2^e, (j + 1) / 2^e).
+    """
+    def at(j, e):
+        return Fraction(j << k, 1 << e)
+
+    out = []
+    stack = [(q, 0, 0)]
     while stack:
-        q = stack.pop()
+        _check_deadline(deadline, "root isolation")
+        q, j, e = stack.pop()
         v = _variations(_taylor1(q[::-1]))
+        if v == 1:
+            out.append((at(j, e), at(j + 1, e)))
         if v < 2:
-            count += v
             continue
         left = _halve(q)
         right = _taylor1(left)
-        if right[0] == 0:  # q(1/2) = 0: count it, divide it out of both halves
-            count += 1
+        if right[0] == 0:
+            out.append((at(2 * j + 1, e + 1),) * 2)
             right = right[1:]
             left = ddiv_exact(left, [-1, 1])
-        stack.extend((left, right))
-    return count
+        stack.extend(((left, 2 * j, e + 1), (right, 2 * j + 1, e + 1)))
+    return out
 
 
-def _positive_roots(a) -> int:
-    """Roots in (0, inf) of a squarefree integer polynomial with a(0) != 0."""
-    v = _variations(a)
-    if v < 2:
-        return v
-    k = max(_root_bits(a), 0)  # every root lies in (0, 2^k): map it onto (0, 1)
-    return _unit_roots([c << (k * i) for i, c in enumerate(a)])
+def _real_roots(q, deadline=None):
+    """Sorted isolating data of the real roots of a squarefree integer polynomial.
+
+    Each root comes as (lo, hi), the only root in the open interval lo < x < hi,
+    or as (r, r) for a root r met exactly.
+    """
+    out = []
+    if q[0] == 0:
+        out.append((Fraction(0),) * 2)
+        q = q[1:]
+    for side in (1, -1):
+        _check_deadline(deadline, "root isolation")
+        half = q if side == 1 else [-c if i % 2 else c for i, c in enumerate(q)]
+        v = _variations(half)
+        if v == 0:
+            continue
+        k = max(_root_bits(half), 0)  # every root lies in (0, 2^k)
+        if v == 1:
+            found = [(Fraction(0), Fraction(1 << k))]
+        else:
+            found = _unit_roots([c << (k * i) for i, c in enumerate(half)], k, deadline)
+        out.extend((lo, hi) if side == 1 else (-hi, -lo) for lo, hi in found)
+    return sorted(out)
 
 
-def _descartes_count(ints) -> int:
-    """Distinct real roots of a squarefree integer polynomial (ascending list)."""
-    zero = 0
-    if ints and ints[0] == 0:
-        zero, ints = 1, ints[1:]
-    if len(ints) <= 1:
-        return zero
-    mirrored = [-c if i % 2 else c for i, c in enumerate(ints)]
-    return zero + _positive_roots(ints) + _positive_roots(mirrored)
+def _rank(q, dq, roots, x: Fraction) -> int:
+    """How many roots of q lie at or below x; roots is q's `_real_roots` data.
+
+    Inside an interval (lo, hi), the root lies at or below x exactly when the
+    sign of q at x is not the sign of q just right of lo: that of q(lo), or of
+    q'(lo) = dq(lo) when lo is a root met at a midpoint (simple: q is squarefree).
+    """
+    n = 0
+    for lo, hi in roots:
+        if hi <= x:
+            n += 1
+        elif lo < x:
+            return n + (_sign_at(q, x) != (_sign_at(q, lo) or _sign_at(dq, lo)))
+        else:
+            break
+    return n
 
 
-def count_real_roots(p: UnivariatePolynomial) -> int:
-    """Number of distinct real roots, by Descartes bisection on the squarefree part."""
+def count_real_roots(p: UnivariatePolynomial, deadline=None) -> int:
+    """Number of distinct real roots; TimeoutError once the deadline has passed."""
     if p.is_zero():
         raise DomainError("identically zero polynomial")
-    return _descartes_count(_squarefree(p).coeffs)
+    return len(_real_roots(_squarefree(p, deadline).coeffs, deadline))
+
+
+def sturm_count(p: UnivariatePolynomial, interval, deadline=None) -> int:
+    """Number of distinct real roots in (a, b]; a may be None (-inf), b None (+inf).
+
+    The name is historical: the count is read from the Descartes isolation of
+    the squarefree part (`_rank`).  TimeoutError once the deadline has passed.
+    """
+    if p.is_zero():
+        raise DomainError("identically zero polynomial")
+    a, b = interval
+    if a is not None and b is not None and Fraction(a) >= Fraction(b):
+        raise DomainError("need a < b")
+    q = _squarefree(p, deadline).coeffs
+    roots, dq = _real_roots(q, deadline), dderiv(q)
+    below_a = 0 if a is None else _rank(q, dq, roots, Fraction(a))
+    below_b = len(roots) if b is None else _rank(q, dq, roots, Fraction(b))
+    return below_b - below_a
 
 
 # -- isolation --------------------------------------------------------------------
@@ -741,8 +738,6 @@ def _isolate(p: UnivariatePolynomial, deadline):
     sf = _squarefree(p, deadline)
     was_squarefree = sf.degree() == p.degree()
     q = sf.coeffs
-    if len(q) <= 1:
-        return []
     found_points = []
     # peel off the easy exact root at 0 so we can always split there
     while q[0] == 0:
@@ -750,44 +745,35 @@ def _isolate(p: UnivariatePolynomial, deadline):
         q = _drop_root(q, Fraction(0))
 
     intervals = []
-    while True:
-        if len(q) <= 1:
-            break
-        bound = root_bound(UnivariatePolynomial(q))
-        while _sign_at(q, bound) == 0 or _sign_at(q, -bound) == 0:
-            bound += 1
+    while len(q) > 1:
+        bound = root_bound(UnivariatePolynomial(q))  # strict, so q(bound) != 0
         breaks = sorted(set([-bound, Fraction(0), bound] + found_points))
         breaks = [x for x in breaks if -bound <= x <= bound]
-        chain = sturm_chain(q)
-        # each entry carries the sign variations at both ends: one new
-        # chain evaluation per split
-        var_at = [_variations_at(chain, x) for x in breaks]
-        stack = [(breaks[i], breaks[i + 1], var_at[i], var_at[i + 1])
+        roots, dq = _real_roots(q, deadline), dderiv(q)
+        # each entry carries the ranks of both ends: one new rank per split
+        rank_at = [_rank(q, dq, roots, x) for x in breaks]
+        stack = [(breaks[i], breaks[i + 1], rank_at[i], rank_at[i + 1])
                  for i in range(len(breaks) - 1)]
-        restart = False
-        pending = []
+        intervals = []
         while stack:
             _check_deadline(deadline, "root isolation")
-            lo, hi, vlo, vhi = stack.pop()
-            cnt = vlo - vhi
+            lo, hi, rlo, rhi = stack.pop()
+            cnt = rhi - rlo
             if cnt <= 0:
                 continue
             if cnt == 1:
-                pending.append((lo, hi))
+                intervals.append((lo, hi))
                 continue
             mid = (lo + hi) / 2
-            if _sign_at(q, mid) == 0:
+            if _sign_at(q, mid) == 0:  # start again, with mid among the breaks
                 found_points.append(mid)
                 q = _drop_root(q, mid)
-                restart = True
                 break
-            vm = _variations_at(chain, mid)
-            stack.append((lo, mid, vlo, vm))
-            stack.append((mid, hi, vm, vhi))
-        if restart:
-            continue
-        intervals = pending
-        break
+            rm = _rank(q, dq, roots, mid)
+            stack.append((lo, mid, rlo, rm))
+            stack.append((mid, hi, rm, rhi))
+        else:
+            break
 
     # the bracketed root is strictly interior, so bisecting until no other
     # root of sf sits on an endpoint terminates, and the closed interval then

@@ -123,3 +123,13 @@ def test_csv_has_one_field_per_header_column(argv, capsys):
         for key, cell in zip(header, row):
             if isinstance(record[key], (list, dict)):
                 assert json.loads(cell) == record[key]
+
+
+@pytest.mark.parametrize("flag", [["--refine", "1"], ["--seed", "3"], ["--t0-scan", "0,2"]],
+                         ids=["refine", "seed", "t0-scan"])
+def test_meta_rejects_elimination_options_without_eliminate(flag, capsys):
+    code, out, err = _run(["meta", "--delta", "3", *flag], capsys)
+    assert code == 2 and not out
+    assert "error:" in err and flag[0] in err and "Traceback" not in err
+    code, out, _ = _run(["meta", "--delta", "3", "--eliminate", *flag], capsys)
+    assert code == 0 and json.loads(out)["kind"] == "meta"

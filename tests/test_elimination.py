@@ -258,6 +258,32 @@ def test_eliminate_passes_its_deadline_to_the_t_contents(monkeypatch):
     assert set(seen["_t_content"]) == set(seen["dgcd"]) == {deadline}
 
 
+def test_window_counts_and_certificates_pass_their_deadline(monkeypatch):
+    import time
+
+    from wronski.elimination import _content_has_roots
+
+    past = time.monotonic() - 1
+    with pytest.raises(TimeoutError):
+        _content_has_roots(UnivariatePolynomial.from_roots([1, 3]), Q(2), past)
+    # E is isolated already, so only the count in the window overlap can
+    # notice the deadline: the interval (0, 143) straddles 9999/10000
+    result = delta5_elimination()
+    isolate_real_roots(result.E)
+    with pytest.raises(TimeoutError):
+        result.real_root_candidates(0, Q(9999, 10000), include_zero=False, deadline=past)
+    hexagon = eliminate_to_t(hexagon_meta())
+    expected = certify_elimination(hexagon, Q(1))  # by its zero-free partial projection
+    assert expected.method == "projection-factor"
+    deadline = time.monotonic() + 600
+    seen = _deadline_spies(monkeypatch, ("sturm_count", "count_real_roots"))
+    assert certify_elimination(hexagon, Q(1), deadline) == expected
+    assert result.real_root_candidates(0, Q(9999, 10000), include_zero=False,
+                                       deadline=deadline) == []
+    for name in seen:
+        assert seen[name] and set(seen[name]) == {deadline}, name
+
+
 def test_boundary_check_honours_its_deadline(monkeypatch):
     import time
 

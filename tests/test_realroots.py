@@ -111,26 +111,36 @@ def test_isolation_rational_roots_found_exactly():
     assert vals == sorted(vals)
 
 
-def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
+def test_isolation_runs_the_subdivision_once_per_polynomial(monkeypatch):
     # twelve irrational roots, two of them 3.5e-5 apart: many splits and no
-    # exact root at a dyadic midpoint, so the Sturm chain is built once
-    from wronski import realroots
+    # exact root at a dyadic midpoint, so the Descartes subdivision runs once
+    # and each split point is ranked once
+    subdivisions, ranked = [], []
+    real_roots, rank = realroots._real_roots, realroots._rank
 
-    seen = []
-    evaluate = realroots._variations_at
+    def counted_roots(q, deadline=None):
+        subdivisions.append(q)
+        return real_roots(q, deadline)
 
-    def counted(chain, x):
-        seen.append(x)
-        return evaluate(chain, x)
+    def counted_rank(q, dq, roots, x):
+        ranked.append(x)
+        return rank(q, dq, roots, x)
 
-    monkeypatch.setattr(realroots, "_variations_at", counted)
+    monkeypatch.setattr(realroots, "_real_roots", counted_roots)
+    monkeypatch.setattr(realroots, "_rank", counted_rank)
     p = U([1])
     for n in (2, 3, 5, 7, 11):
         p = p * U([-n, 0, 1])
     p = p * U([-2 * 10 ** 4 - 1, 0, 10 ** 4])
     ivs = isolate_real_roots(p)
-    assert len(ivs) == 12
-    assert len(seen) == len(set(seen)) > 12
+    assert len(ivs) == 12 and len(subdivisions) == 1
+    assert len(ranked) == len(set(ranked)) > 12
+    # -5/2 lies on a split point: one restart, so one more subdivision, of the
+    # deflated polynomial
+    subdivisions.clear()
+    restarted = U([-40, 24, -24, -1, 31, 10])
+    assert any(iv.is_point and iv.lo == Fraction(-5, 2) for iv in isolate_real_roots(restarted))
+    assert len(subdivisions) == 2 and len(subdivisions[1]) == len(subdivisions[0]) - 1
 
 
 def _isolation_family():
@@ -273,21 +283,49 @@ def test_descartes_count_on_planted_roots(roots, extra):
     p = U.from_roots(roots)
     for q in extra:
         p = p * U(q)
-    assert count_real_roots(p) == sturm_count(p, (None, None)) == len(set(roots))
+    distinct = sorted(set(roots))
+    assert count_real_roots(p) == sturm_count(p, (None, None)) == len(distinct)
+    # windows ending on planted roots: (a, b] keeps b and drops a
+    ends = [None] + distinct
+    for a in ends:
+        for b in ends[1:]:
+            if a is None or a < b:
+                expected = sum(1 for r in distinct if (a is None or a < r) and r <= b)
+                assert sturm_count(p, (a, b)) == expected, (a, b)
+    sympy = pytest.importorskip("sympy")
+    assert _sympy_poly(sympy, p).count_roots() == len(distinct)
 
 
-def test_descartes_count_matches_sturm_property():
+def _sympy_poly(sympy, p):
+    return sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x"))
+
+
+def _sympy_count(poly, a, b):
+    """Distinct roots in (a, b]: sympy counts the closed interval [a, b]."""
+    sympy = pytest.importorskip("sympy")
+    a, b = sympy.Rational(a.numerator, a.denominator), sympy.Rational(b.numerator, b.denominator)
+    return poly.count_roots(a, b) - (poly.eval(a) == 0)
+
+
+def test_counts_match_sympy_property():
     hyp = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
     st = hyp.strategies
+    ends = st.fractions(min_value=-64, max_value=64, max_denominator=64)
 
     @hyp.settings(max_examples=200, deadline=None)
     @hyp.given(st.lists(st.integers(-2 ** 80, 2 ** 80), min_size=1, max_size=13),
-               st.lists(st.integers(-2 ** 8, 2 ** 8), min_size=1, max_size=4))
-    def check(h, g):
+               st.lists(st.integers(-2 ** 8, 2 ** 8), min_size=1, max_size=4), ends, ends)
+    def check(h, g, a, b):
+        a, b = min(a, b), max(a, b)
         for ints in (h, dmul(dmul(g, g), h)):  # the squarefree part comes first
             p = U(ints)
-            if not p.is_zero():
-                assert count_real_roots(p) == sturm_count(p, (None, None))
+            if p.is_zero():
+                continue
+            poly = _sympy_poly(sympy, p)
+            assert count_real_roots(p) == poly.count_roots()
+            if a < b:
+                assert sturm_count(p, (a, b)) == _sympy_count(poly, a, b)
 
     check()
 
@@ -399,6 +437,22 @@ def test_isolation_is_kept_once_computed(monkeypatch):
     assert isolate_real_roots(p) == isolate_real_roots(U(p.coeffs))
     assert len(isolate_real_roots(p)) == 5
     assert len(seen) == 2 and seen[0] is p and seen[1] is not p
+
+
+def test_counts_honor_deadline():
+    import time
+
+    past = time.monotonic() - 1
+    p = U.from_roots([1, 2, 3, Fraction(1, 3)]) * U([-2, 0, 1])
+    counters = (count_real_roots, lambda p, deadline=None: sturm_count(p, (0, 2), deadline))
+    for count, expected in zip(counters, (6, 4)):  # 1/3, 1, sqrt 2 and 2 in (0, 2]
+        q = U(p.coeffs)
+        with pytest.raises(TimeoutError):  # the squarefree gcd notices first
+            count(q, deadline=past)
+        q.squarefree_part()
+        with pytest.raises(TimeoutError):  # then the subdivision
+            count(q, deadline=past)
+        assert count(q) == expected and q._roots is None
 
 
 def test_isolation_and_refinement_honor_deadline():
