@@ -300,9 +300,8 @@ def _sympy_poly(sympy, p):
     return sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x"))
 
 
-def _sympy_count(poly, a, b):
+def _sympy_count(sympy, poly, a, b):
     """Distinct roots in (a, b]: sympy counts the closed interval [a, b]."""
-    sympy = pytest.importorskip("sympy")
     a, b = sympy.Rational(a.numerator, a.denominator), sympy.Rational(b.numerator, b.denominator)
     return poly.count_roots(a, b) - (poly.eval(a) == 0)
 
@@ -325,7 +324,7 @@ def test_counts_match_sympy_property():
             poly = _sympy_poly(sympy, p)
             assert count_real_roots(p) == poly.count_roots()
             if a < b:
-                assert sturm_count(p, (a, b)) == _sympy_count(poly, a, b)
+                assert sturm_count(p, (a, b)) == _sympy_count(sympy, poly, a, b)
 
     check()
 
