@@ -125,7 +125,6 @@ class EliminationResult:
     degree_raw: int
     t_power_removed: int
     content_factors: tuple
-    squarefree: bool
     pivot: int
     shear_used: tuple
     projections: tuple
@@ -326,7 +325,6 @@ def eliminate_to_t(system: MetaSystem, refine: int = 0, seed: int = 0,
         degree_raw=degree_raw,
         t_power_removed=t_power_removed,
         content_factors=tuple(contents),
-        squarefree=True,
         pivot=pivot,
         shear_used=shear,
         projections=tuple(projections),

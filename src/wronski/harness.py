@@ -63,6 +63,7 @@ class ExperimentConfig:
     window: tuple = (Fraction(-2), Fraction(2), Fraction(-2), Fraction(2))
     resolution: int = 512
     refine: int = 2
+    t0_scan: tuple | None = None  # a meta root window other than (0, 1]
     out: str | None = None
     fmt: str = "json"
 
@@ -249,7 +250,8 @@ def meta_report(delta: int, height, refine: int = 2, seed: int = 0,
         res["warning"] = warning
     cfg = ExperimentConfig("meta", delta=delta,
                            height=height if isinstance(height, str) else "custom",
-                           refine=refine, seed=seed)
+                           refine=refine, seed=seed,
+                           t0_scan=None if (lo, hi) == (0, 1) else (lo, hi))
     return RunRecord("meta", cfg.to_json(), [res], {}, time.monotonic() - start)
 
 

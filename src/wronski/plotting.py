@@ -2,8 +2,9 @@
 
 Plotting is the one deliberately non-certified corner of the package: the
 zero contours come from floating-point samples on a grid.  Intersection
-markers, however, are placed from the exact pipeline (isolated resultant
-roots refined below 1e-6, fibers solved numerically afterwards).
+markers come from the exact isolator alone (resultant roots refined below 1e-6,
+then each fiber's roots in y, over that float abscissa taken as an exact
+rational, refined below 2^-60); only the finished coordinates are rounded.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from .elimination import sheared_resultant
 from .errors import DegenerateInstanceError, DomainError, EliminationError
 from .polynomial import Polynomial
-from .realroots import isolate_real_roots, refine_interval
+from .realroots import UnivariatePolynomial, isolate_real_roots, refine_interval
 
 # corner bits: 1=(i,j), 2=(i+1,j), 4=(i+1,j+1), 8=(i,j+1); edges by corner pair
 _EDGES = {
@@ -90,7 +91,7 @@ def _compiled(poly: Polynomial):
 
 
 def exact_intersection_markers(f: Polynomial, g: Polynomial, seed: int = 0):
-    """Float (x, y) markers from exactly isolated intersection abscissas.
+    """Float (x, y) markers from exactly isolated intersection points.
 
     Curves that share a component or do not meet have nothing to mark and
     raise DegenerateInstanceError.
@@ -104,52 +105,29 @@ def exact_intersection_markers(f: Polynomial, g: Polynomial, seed: int = 0):
     markers = []
     for iv in isolate_real_roots(u):
         iv = refine_interval(u, iv, Fraction(1, 10 ** 6))
-        x_hat = float(iv.midpoint())
+        x_hat = Fraction(float(iv.midpoint()))  # denominators near 2^53 keep the fiber small
         y_c = _fiber_root(A, B, x_hat)
         if y_c is None:
             continue
         # the rows are those of f(X + s y, y), so the original abscissa is X + s y
-        markers.append((x_hat + s * y_c, y_c))
+        markers.append((float(x_hat + s * y_c), float(y_c)))
     return markers
 
 
-def _fiber_root(A, B, x0: float):
-    """Real y over a sheared abscissa, found numerically from integer rows (markers only).
+def _fiber_root(A, B, x0: Fraction):
+    """The real root y of A(x0, y) where |B(x0, y)| is least, or None (markers only).
 
-    Each curve's rows are divided by a power of two above its largest
-    coefficient first, so that no integer is too large for a float.
+    Both curves are evaluated exactly at x0; the roots in y are isolated and
+    refined below 2^-60 by the exact isolator, and each is represented by the
+    midpoint of its interval.
     """
-    values = []
-    for rows in (A, B):
-        top = 1 << max(abs(c).bit_length() for row in rows for c in row)
-        values.append([_horner_float([c / top for c in row], x0) for row in rows])
-    fy, gy = values
-    best = None
-    for r in _real_roots_float(fy):
-        res = abs(_horner_float(gy, r))
-        if best is None or res < best[0]:
-            best = (res, r)
-    if best is None:
+    fy, gy = (UnivariatePolynomial([UnivariatePolynomial(row)(x0) for row in rows])
+              for rows in (A, B))
+    if fy.is_zero():
         return None
-    return best[1]
-
-
-def _horner_float(coeffs, x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _real_roots_float(coeffs):
-    import numpy as np
-
-    arr = np.array(list(reversed(coeffs)), dtype=float)
-    arr = np.trim_zeros(arr, "f")
-    if arr.size <= 1:
-        return []
-    roots = np.roots(arr)
-    return [float(r.real) for r in roots if abs(r.imag) < 1e-7]
+    ys = [refine_interval(fy, iv, Fraction(1, 2 ** 60)).midpoint()
+          for iv in isolate_real_roots(fy)]
+    return min(ys, key=lambda y: abs(gy(y)), default=None)
 
 
 def render_svg(segment_groups, markers, window, size=560, warnings=()):
@@ -194,7 +172,7 @@ def write_atomic(path: str, payload: str):
 
 
 def plot_pair(f: Polynomial, g: Polynomial, window, resolution: int, path: str,
-              mark_intersections: bool = True, seed: int = 0) -> str:
+              seed: int = 0) -> str:
     """Render two implicit curves and their certified intersections to SVG."""
     if resolution < 32:
         raise DomainError("resolution must be at least 32")
@@ -207,12 +185,11 @@ def plot_pair(f: Polynomial, g: Polynomial, window, resolution: int, path: str,
             warnings.append(f"empty contour: {name} curve misses the window")
         groups.append(segs)
     markers = []
-    if mark_intersections:
-        try:
-            markers = [m for m in exact_intersection_markers(f, g, seed)
-                       if window[0] <= m[0] <= window[1] and window[2] <= m[1] <= window[3]]
-        except DegenerateInstanceError:
-            warnings.append("marker extraction degenerate; markers omitted")
+    try:
+        markers = [m for m in exact_intersection_markers(f, g, seed)
+                   if window[0] <= m[0] <= window[1] and window[2] <= m[1] <= window[3]]
+    except DegenerateInstanceError:
+        warnings.append("marker extraction degenerate; markers omitted")
     svg = render_svg(groups, markers, [float(w) for w in window], warnings=warnings)
     write_atomic(path, svg)
     return path

@@ -24,21 +24,23 @@ of it shares one gcd, and each polynomial is isolated once.
   each half-line is mapped into (0, 1) by a power-of-two root bound, and
   subintervals are split with 2^n q(x / 2) and Taylor shifts by 1.  It
   returns isolating data (open dyadic intervals with one root each, dyadic
-  points for roots met at a midpoint); `count_real_roots` is its length and
-  `sturm_count` counts (a, b] as rank(b) - rank(a), rank(x) being the number
-  of roots at or below x.  Isolation walks the bisection tree the Sturm
-  chain once drove (breaks at the Cauchy bounds, 0 and exact roots found; a
-  node split while it holds two roots or more; a restart on the deflated
-  polynomial when a split point is a root) with exact rank differences as
-  its counts, so the intervals and their refinements, which tests and the
-  meta_report payloads pin, are unchanged.  Signs at rational points n/d
+  points for roots met at a midpoint), kept on the squarefree part, which is
+  thus subdivided once; `count_real_roots` is its length and `sturm_count`
+  counts (a, b] as rank(b) - rank(a), rank(x) being the number of roots at
+  or below x.  Isolation walks the bisection tree the Sturm chain once
+  drove (breaks at the Cauchy bounds, 0 and exact roots found; a node split
+  while it holds two roots or more; a restart on the deflated polynomial,
+  ranked as the squarefree part less the roots divided out, when a split
+  point is a root) with exact rank differences as its counts, so the
+  intervals and their refinements, which tests and the meta_report payloads
+  pin, are unchanged.  Signs at rational points n/d
   are taken in integers, from d^deg q(n/d) for the primitive squarefree
   part q (positive leading coefficient), and an exact rational root is
   divided out as the integer factor d x - n.  Intervals returned by the
   isolator are pairwise disjoint and each contains exactly one distinct
   real root; exact rational roots come back as degenerate [r, r] intervals.
   Counts, isolation and refinement take an optional deadline, checked on
-  each subdivision or bisection step.
+  each call and on each subdivision or bisection step.
 
 The integer-list kernels `dmul` and `ddiv_exact` are schoolbook loops, and
 `dprem` is the pseudo-remainder of the resultant PRS.
@@ -419,7 +421,7 @@ class UnivariatePolynomial:
     the input.
     """
 
-    __slots__ = ("coeffs", "_sf", "_roots")
+    __slots__ = ("coeffs", "_sf", "_roots", "_descartes")
 
     def __init__(self, coeffs):
         cs = list(coeffs)
@@ -430,6 +432,7 @@ class UnivariatePolynomial:
         self.coeffs = dstrip(cs)
         self._sf = None  # the squarefree part, once computed
         self._roots = None  # the isolating intervals, once computed
+        self._descartes = None  # on a squarefree part: its Descartes data, once computed
 
     @classmethod
     def from_int_list(cls, ints):
@@ -666,11 +669,24 @@ def _rank(q, dq, roots, x: Fraction) -> int:
     return n
 
 
+def _descartes(p: UnivariatePolynomial, deadline=None):
+    """(q, q', `_real_roots` of q) for q p's squarefree part, which keeps them once computed.
+
+    Checks the deadline on each call, even when the data is kept.
+    """
+    _check_deadline(deadline, "root isolation")
+    sf = _squarefree(p, deadline)
+    if sf._descartes is None:
+        q = sf.coeffs
+        sf._descartes = (q, dderiv(q), _real_roots(q, deadline))
+    return sf._descartes
+
+
 def count_real_roots(p: UnivariatePolynomial, deadline=None) -> int:
     """Number of distinct real roots; TimeoutError once the deadline has passed."""
     if p.is_zero():
         raise DomainError("identically zero polynomial")
-    return len(_real_roots(_squarefree(p, deadline).coeffs, deadline))
+    return len(_descartes(p, deadline)[2])
 
 
 def sturm_count(p: UnivariatePolynomial, interval, deadline=None) -> int:
@@ -684,8 +700,7 @@ def sturm_count(p: UnivariatePolynomial, interval, deadline=None) -> int:
     a, b = interval
     if a is not None and b is not None and Fraction(a) >= Fraction(b):
         raise DomainError("need a < b")
-    q = _squarefree(p, deadline).coeffs
-    roots, dq = _real_roots(q, deadline), dderiv(q)
+    q, dq, roots = _descartes(p, deadline)
     below_a = 0 if a is None else _rank(q, dq, roots, Fraction(a))
     below_b = len(roots) if b is None else _rank(q, dq, roots, Fraction(b))
     return below_b - below_a
@@ -737,8 +752,12 @@ def isolate_real_roots(p: UnivariatePolynomial, deadline=None):
 def _isolate(p: UnivariatePolynomial, deadline):
     sf = _squarefree(p, deadline)
     was_squarefree = sf.degree() == p.degree()
-    q = sf.coeffs
+    q = sf.coeffs  # deflated by each exact root found
     found_points = []
+
+    def rank(x):  # of q: sf's rank less the found points, the roots divided out of sf
+        return _rank(*_descartes(sf, deadline), x) - sum(1 for r in found_points if r <= x)
+
     # peel off the easy exact root at 0 so we can always split there
     while q[0] == 0:
         found_points.append(Fraction(0))
@@ -749,9 +768,8 @@ def _isolate(p: UnivariatePolynomial, deadline):
         bound = root_bound(UnivariatePolynomial(q))  # strict, so q(bound) != 0
         breaks = sorted(set([-bound, Fraction(0), bound] + found_points))
         breaks = [x for x in breaks if -bound <= x <= bound]
-        roots, dq = _real_roots(q, deadline), dderiv(q)
         # each entry carries the ranks of both ends: one new rank per split
-        rank_at = [_rank(q, dq, roots, x) for x in breaks]
+        rank_at = [rank(x) for x in breaks]
         stack = [(breaks[i], breaks[i + 1], rank_at[i], rank_at[i + 1])
                  for i in range(len(breaks) - 1)]
         intervals = []
@@ -769,7 +787,7 @@ def _isolate(p: UnivariatePolynomial, deadline):
                 found_points.append(mid)
                 q = _drop_root(q, mid)
                 break
-            rm = _rank(q, dq, roots, mid)
+            rm = rank(mid)
             stack.append((lo, mid, rlo, rm))
             stack.append((mid, hi, rm, rhi))
         else:

@@ -63,11 +63,12 @@ def _run(argv, capsys):
 
 @pytest.mark.parametrize("make", [
     lambda: meta_report(3, "rho"),
+    lambda: meta_report(3, "rho", scan=(Q(0), Q(2))),
     lambda: pair_experiment(3, "rho", Q("0.98"), (Q("-3.14"), Q("-8.13"), Q("3.61")),
                             (Q("11.13"), Q("-9.34"), Q("1.82"))),
     lambda: monte_carlo_hexagon(3, seed=77, t_range=(Q(-1, 2), Q(1)), c_range=(Q(-5), Q(7))),
     lambda: triangulation_report(3, "min"),
-], ids=["meta", "pair", "montecarlo", "triangulate"])
+], ids=["meta", "meta-window", "pair", "montecarlo", "triangulate"])
 def test_record_config_reruns_to_same_payload(make, tmp_path, capsys):
     rec = make()
     path = tmp_path / "cfg.json"

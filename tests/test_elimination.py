@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from wronski import realroots
 from wronski.elimination import (_compressed_gcd, _compressed_squarefree, _t_content,
                                  boundary_check, certify_elimination, certify_no_real_solutions,
                                  count_real_intersections, eliminate_to_t)
@@ -30,7 +31,7 @@ def test_hexagon_elimination_frozen():
     assert res.E == UnivariatePolynomial([-1, 0, 0, 0, 0, 0, 4])
     assert res.t_power_removed > 0
     assert res.degree_raw == 62
-    assert res.squarefree
+    assert res.E.is_squarefree()
 
 
 def test_hexagon_nonzero_real_roots_lift_only_to_complex_points():
@@ -452,6 +453,23 @@ def system_meeting_where(h):
 def two_root_system():
     # E = (t - 2)(2t - 7) is isolated with the exact point [2, 2]
     return system_meeting_where(lambda t: (t - 2) * (2 * t - 7))
+
+
+def test_window_count_after_isolation_runs_no_second_subdivision(monkeypatch):
+    # (13/4, 9/2) straddles the window's end 7/2, so the candidate is kept by
+    # a window count on E, read from the subdivision the isolation ran
+    result = eliminate_to_t(two_root_system(), refine=2)
+    subdivisions = []
+    real_roots = realroots._real_roots
+
+    def counted_roots(q, deadline=None):
+        subdivisions.append(q)
+        return real_roots(q, deadline)
+
+    monkeypatch.setattr(realroots, "_real_roots", counted_roots)
+    (seven_halves,) = result.real_root_candidates(3, Q(7, 2))
+    assert (seven_halves.lo, seven_halves.hi) == (Q(13, 4), Q(9, 2))
+    assert subdivisions == [result.E.coeffs]
 
 
 def test_certificate_counts_a_root_on_the_window_edge():

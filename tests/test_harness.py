@@ -178,8 +178,10 @@ def test_plot_warns_on_empty_contour(tmp_path):
     far = Polynomial(XY, {(2, 0): 1, (0, 2): 1, (0, 0): -10 ** 6})
     line = Polynomial(XY, {(0, 1): 1, (1, 0): -1})
     out = tmp_path / "empty.svg"
-    plot_pair(far, line, (Q(-2), Q(2), Q(-2), Q(2)), 64, str(out), mark_intersections=False)
-    assert "empty contour" in out.read_text()
+    plot_pair(far, line, (Q(-2), Q(2), Q(-2), Q(2)), 64, str(out))
+    svg = out.read_text()
+    # the curves meet near (+-707, +-707), outside the window: no marker is drawn
+    assert "empty contour" in svg and "<circle" not in svg
 
 
 def test_plot_resolution_floor(tmp_path):

@@ -135,12 +135,15 @@ def test_isolation_runs_the_subdivision_once_per_polynomial(monkeypatch):
     ivs = isolate_real_roots(p)
     assert len(ivs) == 12 and len(subdivisions) == 1
     assert len(ranked) == len(set(ranked)) > 12
-    # -5/2 lies on a split point: one restart, so one more subdivision, of the
-    # deflated polynomial
+    # counts after the isolation read the data the squarefree part keeps
+    assert sturm_count(p, (ivs[0].lo, ivs[5].hi)) == 6
+    assert count_real_roots(p) == 12 and len(subdivisions) == 1
+    # -5/2 lies on a split point: one restart, which ranks on the deflated
+    # polynomial from the same subdivision
     subdivisions.clear()
     restarted = U([-40, 24, -24, -1, 31, 10])
     assert any(iv.is_point and iv.lo == Fraction(-5, 2) for iv in isolate_real_roots(restarted))
-    assert len(subdivisions) == 2 and len(subdivisions[1]) == len(subdivisions[0]) - 1
+    assert subdivisions == [restarted.coeffs]
 
 
 def _isolation_family():
