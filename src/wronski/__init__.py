@@ -4,6 +4,7 @@ coefficients, and certified real-solution counts via symbolic elimination."""
 
 __version__ = "0.1.0"
 
+from .errors import deadline
 from .lattice import (FVector, Triangle, Triangulation2D, dual_bipartition, f_vector,
                       hexagon_example, honeycomb_triangulation, lattice_points,
                       normalized_volume, signature)

@@ -59,12 +59,11 @@ def _strip_t_power(p: Polynomial):
     return Polynomial(p.vars, terms), k
 
 
-def _t_content(p: Polynomial, deadline=None):
+def _t_content(p: Polynomial):
     """gcd over Z[t] of the coefficients with respect to the non-t variables.
 
     Returns (reduced, content) with content a UnivariatePolynomial in t;
-    content is [1] when trivial.  Expects integer coefficients.  The gcds
-    raise TimeoutError past the deadline.
+    content is [1] when trivial.  Expects integer coefficients.
     """
     others = [v for v in p.vars if v != "t" and p.degree(v) > 0]
     if "t" not in p.vars or len(others) != 1:
@@ -74,7 +73,7 @@ def _t_content(p: Polynomial, deadline=None):
     g = []
     for row in rows:
         if row:
-            g = dgcd(g, row, deadline) if g else dprimitive(row)
+            g = dgcd(g, row) if g else dprimitive(row)
             if g == [1]:
                 return p, UnivariatePolynomial([1])
     rows = [ddiv_exact(row, g) for row in rows]
@@ -98,18 +97,15 @@ class ProjectionFactor:
     t_power: int
     content: UnivariatePolynomial  # [1] when trivial
 
-    def t_free_no_real_zeros(self, deadline=None) -> bool:
-        """True when poly involves only the surviving variable and has no real zeros.
-
-        The root count raises TimeoutError past the deadline.
-        """
+    def t_free_no_real_zeros(self) -> bool:
+        """True when poly involves only the surviving variable and has no real zeros."""
         if self.surviving_var is None or self.poly.degree("t") > 0:
             return False
         try:
             u = UnivariatePolynomial(self.poly.dense(self.surviving_var))
         except DomainError:
             return False
-        return not u.is_zero() and (u.degree() == 0 or count_real_roots(u, deadline) == 0)
+        return not u.is_zero() and (u.degree() == 0 or count_real_roots(u) == 0)
 
 
 @dataclass(frozen=True)
@@ -130,14 +126,11 @@ class EliminationResult:
     projections: tuple
     refined_degrees: tuple = ()
 
-    def real_root_candidates(self, lo=None, hi=None, include_zero=True,
-                             refine_width=None, deadline=None):
+    def real_root_candidates(self, lo=None, hi=None, include_zero=True, refine_width=None):
         """Isolating intervals of every certified-candidate real t in (lo, hi].
 
         A candidate is kept when its root lies in the window, decided exactly
         (see _root_in_window); lo or hi None leaves that side open.
-        Isolation, refinement and window counts raise TimeoutError past the
-        deadline.
         """
         lo = Fraction(lo) if lo is not None else None
         hi = Fraction(hi) if hi is not None else None
@@ -146,10 +139,10 @@ class EliminationResult:
         for src in sources:
             if src.degree() <= 0:
                 continue
-            for iv in isolate_real_roots(src, deadline):
+            for iv in isolate_real_roots(src):
                 if refine_width is not None:
-                    iv = refine_interval(src, iv, Fraction(refine_width), deadline)
-                if _root_in_window(src, iv, lo, hi, deadline):
+                    iv = refine_interval(src, iv, Fraction(refine_width))
+                if _root_in_window(src, iv, lo, hi):
                     own.append(iv)
         zero = IsolatingInterval(Fraction(0), Fraction(0))
         if self.t_power_removed and include_zero and _root_in_window(None, zero, lo, hi):
@@ -182,7 +175,7 @@ class EliminationResult:
         }
 
 
-def _compressed_squarefree(ints, deadline=None):
+def _compressed_squarefree(ints):
     """Squarefree part computed inside the exponent lattice of the input.
 
     With a nonzero constant term, P(t) = Q(t^g) is squarefree exactly when Q
@@ -190,14 +183,14 @@ def _compressed_squarefree(ints, deadline=None):
     compressed domain makes the gcd with the derivative g^2 times cheaper.
     """
     g = dexponent_gcd(ints)
-    sf = UnivariatePolynomial(dcompress(ints, g)).squarefree_part(deadline)
+    sf = UnivariatePolynomial(dcompress(ints, g)).squarefree_part()
     return dexpand(sf.coeffs, g)
 
 
-def _compressed_gcd(a, b, deadline=None):
+def _compressed_gcd(a, b):
     """gcd of integer polynomials through their common exponent lattice."""
     g = dexponent_gcd(b, dexponent_gcd(a))
-    return dexpand(dgcd(dcompress(a, g), dcompress(b, g), deadline), g)
+    return dexpand(dgcd(dcompress(a, g), dcompress(b, g)), g)
 
 
 def _t_power(ints) -> int:
@@ -217,16 +210,16 @@ def _squarefree_operand(factors, extra=()):
     return out
 
 
-def _elim_step(f: Polynomial, g: Polynomial, var: str, deadline=None) -> Polynomial:
+def _elim_step(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     """Eliminate var from the pair; a var-free input is already eliminated."""
     if f.degree(var) <= 0:
         return f
     if g.degree(var) <= 0:
         return g
-    return resultant(f, g, var, deadline)
+    return resultant(f, g, var)
 
 
-def _one_route(fs, pivot: int, shear, deadline):
+def _one_route(fs, pivot: int, shear):
     """Run the x-then-y projection for one pivot/coordinate choice.
 
     Returns (factors, projections, raw_extra), with the route's raw projection
@@ -241,8 +234,8 @@ def _one_route(fs, pivot: int, shear, deadline):
         y = Polynomial.variable("y", ("x", "y"))
         sub = {"x": x + a * y, "y": b * x + (1 + a * b) * y}
         f0, g1, g2 = (p.substitute(sub) for p in (f0, g1, g2))
-    R1 = _elim_step(f0, g1, "x", deadline)
-    R2 = _elim_step(f0, g2, "x", deadline)
+    R1 = _elim_step(f0, g1, "x")
+    R2 = _elim_step(f0, g2, "x")
     if R1.is_zero() or R2.is_zero():
         return None
     projections = []
@@ -250,7 +243,7 @@ def _one_route(fs, pivot: int, shear, deadline):
     for R in (R1, R2):
         P = R.primitive_part()
         P, k = _strip_t_power(P)
-        P, content = _t_content(P, deadline)
+        P, content = _t_content(P)
         others = [v for v in P.vars if v != "t" and P.degree(v) > 0]
         projections.append(ProjectionFactor(P, others[0] if others else None, k,
                                             content))
@@ -262,20 +255,19 @@ def _one_route(fs, pivot: int, shear, deadline):
     raw_extra = d2 * (pr1.t_power + max(pr1.content.degree(), 0)) \
         + d1 * (pr2.t_power + max(pr2.content.degree(), 0))
     if d1 == 0 and d2 == 0:
-        factors = [(dgcd(_t_ints(P1), _t_ints(P2), deadline), 1)]
+        factors = [(dgcd(_t_ints(P1), _t_ints(P2)), 1)]
     elif d1 == 0:
         factors = [(_t_ints(P1), 1)]
     elif d2 == 0:
         factors = [(_t_ints(P2), 1)]
     else:
-        factors = [(_t_ints(c), e) for c, e in resultant_factors(P1, P2, "y", deadline)]
+        factors = [(_t_ints(c), e) for c, e in resultant_factors(P1, P2, "y")]
         if not all(c for c, _ in factors):
             return None
     return factors, tuple(projections), raw_extra
 
 
-def eliminate_to_t(system: MetaSystem, refine: int = 0, seed: int = 0,
-                   deadline=None) -> EliminationResult:
+def eliminate_to_t(system: MetaSystem, refine: int = 0, seed: int = 0) -> EliminationResult:
     """Project the system to the t-axis through iterated resultants.
 
     refine > 0 folds in up to that many further projection routes (pivot
@@ -290,7 +282,7 @@ def eliminate_to_t(system: MetaSystem, refine: int = 0, seed: int = 0,
 
     primary = None
     for shear in [(0, 0)] + transforms:
-        out = _one_route(fs, 0, shear, deadline)
+        out = _one_route(fs, 0, shear)
         if out is not None:
             primary = (0, shear, out)
             break
@@ -302,21 +294,21 @@ def eliminate_to_t(system: MetaSystem, refine: int = 0, seed: int = 0,
     if refine > 0:
         extra_routes = [(1, (0, 0)), (2, (0, 0))] + [(0, tr) for tr in transforms if tr != shear]
         for rp, rs in extra_routes[:refine]:
-            out = _one_route(fs, rp, rs, deadline)
+            out = _one_route(fs, rp, rs)
             if out is not None:
                 extra_results.append(out)
 
     # the primary route's raw projection is prod c^e: degrees and powers of t add
     degree_raw = sum(e * (len(c) - 1) for c, e in factors) + raw_extra
     k3 = sum(e * _t_power(c) for c, e in factors)
-    sf = _compressed_squarefree(_squarefree_operand(factors), deadline)
+    sf = _compressed_squarefree(_squarefree_operand(factors))
     refined_degrees = []
     for extra_factors, extra_projections, _ in extra_results:
         # a solution's t may be a root of this route's stripped contents only
         contents = [pr.content.coeffs for pr in extra_projections if pr.content.degree() > 0]
-        other_sf = _compressed_squarefree(_squarefree_operand(extra_factors, contents), deadline)
+        other_sf = _compressed_squarefree(_squarefree_operand(extra_factors, contents))
         refined_degrees.append(len(other_sf) - 1)
-        sf = _compressed_gcd(sf, other_sf, deadline)
+        sf = _compressed_gcd(sf, other_sf)
     E = UnivariatePolynomial(sf)
     contents = [pr.content for pr in projections if pr.content.degree() > 0]
     t_power_removed = k3 + sum(pr.t_power for pr in projections)
@@ -346,7 +338,7 @@ class Certificate:
 
 
 def certify_no_real_solutions(system: MetaSystem, t_upper=None, refine: int = 2,
-                              seed: int = 0, deadline=None) -> Certificate:
+                              seed: int = 0) -> Certificate:
     """Certify that the system has no real solutions with t != 0 (or 0 < t <= t_upper).
 
     First tries the projection E together with all stripped factors; if real
@@ -354,21 +346,19 @@ def certify_no_real_solutions(system: MetaSystem, t_upper=None, refine: int = 2,
     argument.  A certificate is only issued when one of the two sound
     criteria holds.
     """
-    result = eliminate_to_t(system, refine=refine, seed=seed, deadline=deadline)
-    return certify_elimination(result, t_upper, deadline)
+    return certify_elimination(eliminate_to_t(system, refine=refine, seed=seed), t_upper)
 
 
-def certify_elimination(result: EliminationResult, t_upper=None, deadline=None) -> Certificate:
+def certify_elimination(result: EliminationResult, t_upper=None) -> Certificate:
     """The certificate of certify_no_real_solutions for an elimination already done."""
     hi = Fraction(t_upper) if t_upper is not None else None
-    candidates = result.real_root_candidates(0 if hi is not None else None, hi,
-                                             include_zero=False, deadline=deadline)
+    candidates = result.real_root_candidates(0 if hi is not None else None, hi, include_zero=False)
     if not candidates:
         scope = "t != 0" if t_upper is None else f"0 < t <= {t_upper}"
         return Certificate(True, "eliminant", f"no real candidate roots with {scope}")
     for pr in result.projections:
-        if pr.t_free_no_real_zeros(deadline) and not (
-                pr.content.degree() > 0 and _content_has_roots(pr.content, hi, deadline)):
+        if pr.t_free_no_real_zeros() and not (
+                pr.content.degree() > 0 and _content_has_roots(pr.content, hi)):
             return Certificate(
                 True, "projection-factor",
                 f"partial projection in {pr.surviving_var!r} has no real zeros; "
@@ -378,14 +368,13 @@ def certify_elimination(result: EliminationResult, t_upper=None, deadline=None) 
                        tuple(candidates))
 
 
-def _root_in_window(src, iv: IsolatingInterval, lo, hi, deadline=None) -> bool:
+def _root_in_window(src, iv: IsolatingInterval, lo, hi) -> bool:
     """Whether the root of src that iv isolates lies in (lo, hi], decided exactly.
 
     lo or hi None leaves that side open.  A point is its root (src is not
     consulted).  A proper interval holds exactly one root of src, strictly
     inside, so it lies in the window when the interval does, and otherwise
-    exactly when src has a root in the overlap (max(iv.lo, lo), min(iv.hi, hi)];
-    that count raises TimeoutError past the deadline.
+    exactly when src has a root in the overlap (max(iv.lo, lo), min(iv.hi, hi)].
     """
     if iv.is_point:
         return (lo is None or lo < iv.lo) and (hi is None or iv.lo <= hi)
@@ -393,14 +382,14 @@ def _root_in_window(src, iv: IsolatingInterval, lo, hi, deadline=None) -> bool:
     b = iv.hi if hi is None else min(iv.hi, hi)
     if (a, b) == (iv.lo, iv.hi):
         return True
-    return a < b and sturm_count(src, (a, b), deadline) > 0
+    return a < b and sturm_count(src, (a, b)) > 0
 
 
-def _content_has_roots(content: UnivariatePolynomial, t_upper, deadline) -> bool:
+def _content_has_roots(content: UnivariatePolynomial, t_upper) -> bool:
     """Whether content vanishes in (0, t_upper], or anywhere but 0 when t_upper is None."""
     if t_upper is not None:
-        return sturm_count(content, (0, t_upper), deadline) > 0
-    return any(not (iv.is_point and iv.lo == 0) for iv in isolate_real_roots(content, deadline))
+        return sturm_count(content, (0, t_upper)) > 0
+    return any(not (iv.is_point and iv.lo == 0) for iv in isolate_real_roots(content))
 
 
 # -- real intersection counting -----------------------------------------------------
@@ -502,12 +491,11 @@ class BoundaryReport:
     detail: str = ""
 
 
-def boundary_check(system: MetaSystem, deadline=None):
+def boundary_check(system: MetaSystem):
     """Analyze each coordinate stratum of the system.
 
     Univariate strata are eliminated exactly; the reported t-candidates are a
-    certified superset of the t-values of real stratum solutions.  The
-    resultants, gcds and root isolation raise TimeoutError past the deadline.
+    certified superset of the t-values of real stratum solutions.
     """
     out = []
     for restriction in boundary_subsystems(system):
@@ -535,7 +523,7 @@ def boundary_check(system: MetaSystem, deadline=None):
                 u = next(v for v in other[i].vars if v != "t" and other[i].degree(v) > 0)
                 if other[j].degree(u) <= 0:
                     continue
-                r = resultant(other[i], other[j], u, deadline)
+                r = resultant(other[i], other[j], u)
                 if not r.is_zero():
                     candidates.append(_t_ints(r))
         if not candidates:
@@ -545,12 +533,12 @@ def boundary_check(system: MetaSystem, deadline=None):
             continue
         g = []
         for c in candidates:
-            g = dgcd(g, c, deadline) if g else dprimitive(c)
+            g = dgcd(g, c) if g else dprimitive(c)
         G = UnivariatePolynomial(g)
         if G.degree() <= 0:
             status, ivs = "infeasible", ()
         else:
-            roots = isolate_real_roots(G, deadline)
+            roots = isolate_real_roots(G)
             ivs = tuple(roots)
             nonzero = [iv for iv in roots if not (iv.is_point and iv.lo == 0)]
             status = "no-real-t-nonzero" if not nonzero else "candidates"

@@ -30,8 +30,6 @@ T_ZERO_BAND = Fraction(1, 2 ** 30)  # |t| below this is redrawn (t = 0 collapses
 
 def resolve_height(name, delta: int) -> HeightFunction:
     """Height from a CLI-style name: 'rho', 'min'/'minimal', or a JSON file path."""
-    if isinstance(name, HeightFunction):
-        return name
     if name in ("rho", None):
         return HeightFunction.rho(delta)
     if name in ("min", "minimal", "mu"):
@@ -179,12 +177,12 @@ def monte_carlo_hexagon(n: int, seed: int, t_range=(Fraction(-1), Fraction(1)),
     return RunRecord("montecarlo", cfg.to_json(), results, agg, time.monotonic() - start)
 
 
-def pair_experiment(delta: int, height, t, c, cprime, kappa=None, seed: int = 0) -> RunRecord:
+def pair_experiment(delta: int, height, t, c, cprime, seed: int = 0) -> RunRecord:
     """Build one curve pair, count its real intersections, compare to the bound."""
     start = time.monotonic()
     hf = resolve_height(height, delta)
     in_cone, violations = in_secondary_cone(hf)
-    pair = wronski_pair(delta, hf, c, cprime, t, kappa)
+    pair = wronski_pair(delta, hf, c, cprime, t)
     count, total = count_real_intersections(*pair.polys, seed=seed)
     sig = signature(honeycomb_triangulation(delta))
     orient_ok = orientation_witness(facet_system(standard_triangle(delta))) is not None
@@ -202,14 +200,13 @@ def pair_experiment(delta: int, height, t, c, cprime, kappa=None, seed: int = 0)
     }
     if not in_cone:
         res["warning"] = f"height violates {len(violations)} cone inequalities"
-    cfg = ExperimentConfig("pair", delta=delta, height=height if isinstance(height, str) else "custom",
-                           t=Fraction(t), c=tuple(map(Fraction, c)),
-                           cprime=tuple(map(Fraction, cprime)), seed=seed)
+    cfg = ExperimentConfig("pair", delta=delta, height=height, t=Fraction(t), seed=seed,
+                           c=tuple(map(Fraction, c)), cprime=tuple(map(Fraction, cprime)))
     return RunRecord("pair", cfg.to_json(), [res], {}, time.monotonic() - start)
 
 
 def meta_report(delta: int, height, refine: int = 2, seed: int = 0,
-                scan=(Fraction(0), Fraction(1)), deadline=None) -> RunRecord:
+                scan=(Fraction(0), Fraction(1))) -> RunRecord:
     """Eliminate the meta-system and report real-root data plus boundary strata."""
     start = time.monotonic()
     hf = resolve_height(height, delta)
@@ -217,23 +214,20 @@ def meta_report(delta: int, height, refine: int = 2, seed: int = 0,
     warning = None
     if delta % 2 == 0:
         warning = "delta is even: the orientability hypothesis fails"
-    result = eliminate_to_t(system, refine=refine, seed=seed, deadline=deadline)
+    result = eliminate_to_t(system, refine=refine, seed=seed)
     lo, hi = Fraction(scan[0]), Fraction(scan[1])
-    in_window = result.real_root_candidates(lo=lo, hi=hi, include_zero=False,
-                                            deadline=deadline)
-    all_nonzero = result.real_root_candidates(include_zero=False,
-                                              refine_width=Fraction(1, 10000),
-                                              deadline=deadline)
+    in_window = result.real_root_candidates(lo=lo, hi=hi, include_zero=False)
+    all_nonzero = result.real_root_candidates(include_zero=False, refine_width=Fraction(1, 10000))
     min_pos = None
     pos = [iv for iv in all_nonzero
            if (iv.is_point and iv.lo > 0) or (not iv.is_point and iv.lo >= 0)]
     if pos:
         min_pos = pos[0]
-    cert = certify_elimination(result, deadline=deadline)
+    cert = certify_elimination(result)
     boundary = [
         {"stratum": rep.label, "status": rep.status, "colors": list(rep.colors_present),
          "t_candidates": [iv.to_json() for iv in rep.t_candidates], "detail": rep.detail}
-        for rep in boundary_check(system, deadline)
+        for rep in boundary_check(system)
     ]
     res = {
         "delta": delta,
@@ -248,9 +242,7 @@ def meta_report(delta: int, height, refine: int = 2, seed: int = 0,
     }
     if warning:
         res["warning"] = warning
-    cfg = ExperimentConfig("meta", delta=delta,
-                           height=height if isinstance(height, str) else "custom",
-                           refine=refine, seed=seed,
+    cfg = ExperimentConfig("meta", delta=delta, height=height, refine=refine, seed=seed,
                            t0_scan=None if (lo, hi) == (0, 1) else (lo, hi))
     return RunRecord("meta", cfg.to_json(), [res], {}, time.monotonic() - start)
 
@@ -275,8 +267,7 @@ def triangulation_report(delta: int, height=None) -> RunRecord:
         ok, violations = in_secondary_cone(hf)
         res["in_cone"] = ok
         res["cone_violations"] = len(violations)
-    cfg = ExperimentConfig("triangulate", delta=delta,
-                           height=height if isinstance(height, str) else None)
+    cfg = ExperimentConfig("triangulate", delta=delta, height=height)
     return RunRecord("triangulate", cfg.to_json(), [res], {}, time.monotonic() - start)
 
 

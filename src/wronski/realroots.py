@@ -39,8 +39,8 @@ of it shares one gcd, and each polynomial is isolated once.
   divided out as the integer factor d x - n.  Intervals returned by the
   isolator are pairwise disjoint and each contains exactly one distinct
   real root; exact rational roots come back as degenerate [r, r] intervals.
-  Counts, isolation and refinement take an optional deadline, checked on
-  each call and on each subdivision or bisection step.
+  Each gcd prime, count, subdivision node and bisection step checks the run
+  deadline (`errors.deadline`).
 
 The integer-list kernels `dmul` and `ddiv_exact` are schoolbook loops, and
 `dprem` is the pseudo-remainder of the resultant PRS.
@@ -53,12 +53,11 @@ interpolation at integer nodes, equally checked) its interpolated form.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DomainError
+from .errors import DomainError, check_deadline
 
 # -- dense integer coefficient lists (ascending) -------------------------------
 
@@ -359,23 +358,21 @@ def _quotient(a, g):
         return None
 
 
-def dgcd(a, b, deadline=None):
+def dgcd(a, b):
     """Primitive gcd of integer polynomials, positive leading coefficient.
 
     The modular gcd described above: the result has been proved by exact
     division.  The gcd with a zero polynomial is the other operand made
-    primitive, and a nonzero constant operand gives [1].  With a deadline
-    (a time.monotonic() value), it is checked before each prime and
-    TimeoutError raised once it has passed.
+    primitive, and a nonzero constant operand gives [1].
     """
     a, b = dstrip(dprimitive(a)), dstrip(dprimitive(b))
     if not a or not b:
         g = a or b
         return dneg(g) if g and g[-1] < 0 else g
-    return _gcd_cofactor(a, b, deadline)[0]
+    return _gcd_cofactor(a, b)[0]
 
 
-def _gcd_cofactor(a, b, deadline=None):
+def _gcd_cofactor(a, b):
     """(G, a / G) for G = dgcd(a, b), a primitive and b nonzero, both stripped.
 
     The cofactor is the quotient the acceptance check has already formed.
@@ -385,7 +382,7 @@ def _gcd_cofactor(a, b, deadline=None):
     gamma = gcd(a[-1], b[-1])
     m, h = 1, None  # the modulus and the symmetric residues of the kept images
     for p in _primes():
-        _check_deadline(deadline, "gcd computation")
+        check_deadline("gcd computation")
         if a[-1] % p == 0:
             continue
         image = _gcd_mod_p([c % p for c in a], [c % p for c in b], p)
@@ -493,19 +490,19 @@ class UnivariatePolynomial:
                 terms.append(f"{c}*x^{k}" if c != 1 else f"x^{k}")
         return "UnivariatePolynomial(" + " + ".join(terms) + ")"
 
-    def squarefree_part(self, deadline=None) -> "UnivariatePolynomial":
+    def squarefree_part(self) -> "UnivariatePolynomial":
         """Primitive squarefree part, positive leading coefficient; kept once computed.
 
         It is the cofactor of gcd(p, p'); a unit image of that gcd modulo a
         prime certifies p squarefree, and the primitive p is its own
-        squarefree part.  The gcd raises TimeoutError past the deadline.
+        squarefree part.
         """
         if self._sf is None:
             ints = self.int_primitive()
             if len(ints) <= 1:
                 sf = UnivariatePolynomial(ints and [1])
             else:
-                sf = UnivariatePolynomial(_gcd_cofactor(ints, dderiv(ints), deadline)[1])
+                sf = UnivariatePolynomial(_gcd_cofactor(ints, dderiv(ints))[1])
             sf._sf = sf
             self._sf = sf
         return self._sf
@@ -515,9 +512,9 @@ class UnivariatePolynomial:
         return _squarefree(self).degree() == self.degree()
 
 
-def _squarefree(p: UnivariatePolynomial, deadline=None) -> UnivariatePolynomial:
+def _squarefree(p: UnivariatePolynomial) -> UnivariatePolynomial:
     """p's squarefree part, reusing the one p already holds."""
-    return p._sf if p._sf is not None else p.squarefree_part(deadline)
+    return p._sf if p._sf is not None else p.squarefree_part()
 
 
 def _drop_root(ints, x: Fraction):
@@ -536,11 +533,6 @@ def _drop_roots_at(ints, points):
         while len(ints) > 1 and _sign_at(ints, x) == 0:
             ints = _drop_root(ints, x)
     return ints
-
-
-def _check_deadline(deadline, what: str):
-    if deadline is not None and time.monotonic() > deadline:
-        raise TimeoutError(f"{what} exceeded its deadline")
 
 
 def _sign_at(ints, x: Fraction) -> int:
@@ -598,7 +590,7 @@ def _root_bits(a) -> int:
                    for i in range(1, n + 1) if a[n - i])
 
 
-def _unit_roots(q, k: int, deadline):
+def _unit_roots(q, k: int):
     """Isolating data of the roots in (0, 1), scaled by 2^k, of a squarefree q.
 
     q(0), q(1) are nonzero.  A node (q, j, e) stands for (j / 2^e, (j + 1) / 2^e).
@@ -609,7 +601,7 @@ def _unit_roots(q, k: int, deadline):
     out = []
     stack = [(q, 0, 0)]
     while stack:
-        _check_deadline(deadline, "root isolation")
+        check_deadline("root isolation")
         q, j, e = stack.pop()
         v = _variations(_taylor1(q[::-1]))
         if v == 1:
@@ -626,7 +618,7 @@ def _unit_roots(q, k: int, deadline):
     return out
 
 
-def _real_roots(q, deadline=None):
+def _real_roots(q):
     """Sorted isolating data of the real roots of a squarefree integer polynomial.
 
     Each root comes as (lo, hi), the only root in the open interval lo < x < hi,
@@ -637,7 +629,7 @@ def _real_roots(q, deadline=None):
         out.append((Fraction(0),) * 2)
         q = q[1:]
     for side in (1, -1):
-        _check_deadline(deadline, "root isolation")
+        check_deadline("root isolation")
         half = q if side == 1 else [-c if i % 2 else c for i, c in enumerate(q)]
         v = _variations(half)
         if v == 0:
@@ -646,7 +638,7 @@ def _real_roots(q, deadline=None):
         if v == 1:
             found = [(Fraction(0), Fraction(1 << k))]
         else:
-            found = _unit_roots([c << (k * i) for i, c in enumerate(half)], k, deadline)
+            found = _unit_roots([c << (k * i) for i, c in enumerate(half)], k)
         out.extend((lo, hi) if side == 1 else (-hi, -lo) for lo, hi in found)
     return sorted(out)
 
@@ -669,38 +661,38 @@ def _rank(q, dq, roots, x: Fraction) -> int:
     return n
 
 
-def _descartes(p: UnivariatePolynomial, deadline=None):
+def _descartes(p: UnivariatePolynomial):
     """(q, q', `_real_roots` of q) for q p's squarefree part, which keeps them once computed.
 
     Checks the deadline on each call, even when the data is kept.
     """
-    _check_deadline(deadline, "root isolation")
-    sf = _squarefree(p, deadline)
+    check_deadline("root isolation")
+    sf = _squarefree(p)
     if sf._descartes is None:
         q = sf.coeffs
-        sf._descartes = (q, dderiv(q), _real_roots(q, deadline))
+        sf._descartes = (q, dderiv(q), _real_roots(q))
     return sf._descartes
 
 
-def count_real_roots(p: UnivariatePolynomial, deadline=None) -> int:
-    """Number of distinct real roots; TimeoutError once the deadline has passed."""
+def count_real_roots(p: UnivariatePolynomial) -> int:
+    """Number of distinct real roots."""
     if p.is_zero():
         raise DomainError("identically zero polynomial")
-    return len(_descartes(p, deadline)[2])
+    return len(_descartes(p)[2])
 
 
-def sturm_count(p: UnivariatePolynomial, interval, deadline=None) -> int:
+def sturm_count(p: UnivariatePolynomial, interval) -> int:
     """Number of distinct real roots in (a, b]; a may be None (-inf), b None (+inf).
 
     The name is historical: the count is read from the Descartes isolation of
-    the squarefree part (`_rank`).  TimeoutError once the deadline has passed.
+    the squarefree part (`_rank`).
     """
     if p.is_zero():
         raise DomainError("identically zero polynomial")
     a, b = interval
     if a is not None and b is not None and Fraction(a) >= Fraction(b):
         raise DomainError("need a < b")
-    q, dq, roots = _descartes(p, deadline)
+    q, dq, roots = _descartes(p)
     below_a = 0 if a is None else _rank(q, dq, roots, Fraction(a))
     below_b = len(roots) if b is None else _rank(q, dq, roots, Fraction(b))
     return below_b - below_a
@@ -736,27 +728,23 @@ def root_bound(p: UnivariatePolynomial) -> Fraction:
     return 1 + Fraction(max(map(abs, p.coeffs[:-1]), default=0), abs(p.coeffs[-1]))
 
 
-def isolate_real_roots(p: UnivariatePolynomial, deadline=None):
-    """Disjoint isolating intervals, one per distinct real root, sorted.
-
-    p keeps them once computed.  With a deadline (a time.monotonic() value),
-    each bisection step checks it and raises TimeoutError once it has passed.
-    """
+def isolate_real_roots(p: UnivariatePolynomial):
+    """Disjoint isolating intervals, one per distinct real root, sorted; p keeps them."""
     if p.is_zero():
         raise DomainError("identically zero polynomial")
     if p._roots is None:
-        p._roots = tuple(_isolate(p, deadline))
+        p._roots = tuple(_isolate(p))
     return list(p._roots)
 
 
-def _isolate(p: UnivariatePolynomial, deadline):
-    sf = _squarefree(p, deadline)
+def _isolate(p: UnivariatePolynomial):
+    sf = _squarefree(p)
     was_squarefree = sf.degree() == p.degree()
     q = sf.coeffs  # deflated by each exact root found
     found_points = []
 
     def rank(x):  # of q: sf's rank less the found points, the roots divided out of sf
-        return _rank(*_descartes(sf, deadline), x) - sum(1 for r in found_points if r <= x)
+        return _rank(*_descartes(sf), x) - sum(1 for r in found_points if r <= x)
 
     # peel off the easy exact root at 0 so we can always split there
     while q[0] == 0:
@@ -774,7 +762,7 @@ def _isolate(p: UnivariatePolynomial, deadline):
                  for i in range(len(breaks) - 1)]
         intervals = []
         while stack:
-            _check_deadline(deadline, "root isolation")
+            check_deadline("root isolation")
             lo, hi, rlo, rhi = stack.pop()
             cnt = rhi - rlo
             if cnt <= 0:
@@ -800,27 +788,26 @@ def _isolate(p: UnivariatePolynomial, deadline):
         return _sign_at(sf.coeffs, lo) != 0 and _sign_at(sf.coeffs, hi) != 0
 
     out = [IsolatingInterval(r, r, was_squarefree) for r in found_points]
-    out.extend(IsolatingInterval(*_bisect(sf.coeffs, lo, hi, clear, deadline, "root isolation"),
+    out.extend(IsolatingInterval(*_bisect(sf.coeffs, lo, hi, clear, "root isolation"),
                                  was_squarefree)
                for lo, hi in intervals)
     out.sort(key=lambda iv: (iv.lo, iv.hi))
     return out
 
 
-def _bisect(sf, lo, hi, done, deadline, what):
+def _bisect(sf, lo, hi, done, what):
     """(lo, hi) halved until done(lo, hi), or (r, r) once a midpoint r is the root.
 
     (lo, hi) brackets one root of sf strictly inside.  Other roots of sf on
     an endpoint are divided out first, so the sign at each midpoint picks the
-    half holding the root.  With a deadline, each step checks it and raises
-    TimeoutError, naming what, once it has passed.
+    half holding the root.  Each step checks the deadline, naming what.
     """
     q = _drop_roots_at(sf, (lo, hi))
     slo = _sign_at(q, lo)
     if slo == 0:
         raise DomainError("interval endpoint is a root; isolation broken")
     while not done(lo, hi):
-        _check_deadline(deadline, what)
+        check_deadline(what)
         mid = (lo + hi) / 2
         v = _sign_at(q, mid)
         if v == 0:
@@ -833,16 +820,12 @@ def _bisect(sf, lo, hi, done, deadline, what):
 
 
 def refine_interval(p: UnivariatePolynomial, interval: IsolatingInterval,
-                    width: Fraction, deadline=None) -> IsolatingInterval:
-    """Shrink an isolating interval below the requested width by bisection.
-
-    With a deadline, each bisection step checks it and raises TimeoutError
-    once it has passed.
-    """
+                    width: Fraction) -> IsolatingInterval:
+    """Shrink an isolating interval below the requested width by bisection."""
     if interval.is_point:
         return interval
-    lo, hi = _bisect(_squarefree(p, deadline).coeffs, interval.lo, interval.hi,
-                     lambda lo, hi: hi - lo <= width, deadline, "interval refinement")
+    lo, hi = _bisect(_squarefree(p).coeffs, interval.lo, interval.hi,
+                     lambda lo, hi: hi - lo <= width, "interval refinement")
     return IsolatingInterval(lo, hi, interval.multiplicity_free)
 
 

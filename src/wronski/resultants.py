@@ -72,15 +72,14 @@ for small degrees.
 
 from __future__ import annotations
 
-import time
 from math import gcd
 
-from .errors import DomainError
+from .errors import DomainError, check_deadline
 from .polynomial import Polynomial
 from .realroots import dcompress, dexponent_gcd, dinterpolate, dprem, dquo_exact
 
 
-def _prs_resultant(A, B, deadline=None) -> int:
+def _prs_resultant(A, B) -> int:
     """Subresultant PRS resultant of two integer lists of positive degree (0: common factor)."""
     sign = 1
     if len(A) < len(B):
@@ -89,8 +88,7 @@ def _prs_resultant(A, B, deadline=None) -> int:
         A, B = B, A
     g = h = 1
     while True:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("resultant computation exceeded its deadline")
+        check_deadline("resultant computation")
         dA, dB = len(A) - 1, len(B) - 1
         delta = dA - dB
         if dA % 2 and dB % 2:
@@ -159,13 +157,13 @@ def _value_at(a, x: int) -> int:
 # -- public entry points ----------------------------------------------------------
 
 
-def resultant(f: Polynomial, g: Polynomial, var: str, deadline=None) -> Polynomial:
+def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     """Sylvester resultant of f and g with respect to var.
 
     Exact for rational coefficients: the product of resultant_factors, with
     the constant factors multiplied as numbers.
     """
-    factors = resultant_factors(f, g, var, deadline)
+    factors = resultant_factors(f, g, var)
     scale, res = 1, None
     for c, e in factors:
         if c.is_constant():
@@ -178,7 +176,7 @@ def resultant(f: Polynomial, g: Polynomial, var: str, deadline=None) -> Polynomi
     return res * scale if scale != 1 else res
 
 
-def resultant_factors(f: Polynomial, g: Polynomial, var: str, deadline=None):
+def resultant_factors(f: Polynomial, g: Polynomial, var: str):
     """Res_var(f, g) as ((factor, exponent), ...), whose product it is.
 
     Inputs y^a Q1(y^k), y^b Q2(y^k) with k > 1 give the factors of the
@@ -199,10 +197,10 @@ def resultant_factors(f: Polynomial, g: Polynomial, var: str, deadline=None):
     B = (g if cg == 1 else g * (1 / cg)).as_univariate(var)
     scale = cf ** dg * cg ** df
     head = ((Polynomial.const(scale, A[0].vars), 1),) if scale != 1 else ()
-    return head + tuple(_coset_factors(A, B, deadline))
+    return head + tuple(_coset_factors(A, B))
 
 
-def _coset_factors(A, B, deadline):
+def _coset_factors(A, B):
     """Res(A, B) of coefficient lists as [(factor, exponent), ...].
 
     A = y^a Q1(y^k), B = y^b Q2(y^k) with k the gcd of every exponent gap of
@@ -226,7 +224,7 @@ def _coset_factors(A, B, deadline):
         c, e = (A[0], len(B) - 1) if len(A) == 1 else (B[0], len(A) - 1)
         factors.append((c ** e, k))
     else:
-        factors.append((_one_point_resultant(A, B, deadline), k))
+        factors.append((_one_point_resultant(A, B), k))
     return factors
 
 
@@ -276,7 +274,7 @@ def _unpack(x: int, n: int, nbytes: int):
             for i in range(0, size, nbytes)]
 
 
-def _one_point_resultant(A, B, deadline) -> Polynomial:
+def _one_point_resultant(A, B) -> Polynomial:
     """Res(A, B) of integral coefficient lists of positive degree, by one integer PRS.
 
     Each variable is graded (`_grading`), the coefficients are evaluated at
@@ -331,7 +329,7 @@ def _one_point_resultant(A, B, deadline) -> Polynomial:
     if not (A[-1] and B[-1]):
         raise ArithmeticError("a leading coefficient vanishes at the Kronecker point")
     terms = {}
-    for j, x in enumerate(_unpack(_prs_resultant(A, B, deadline), size, nbytes)):
+    for j, x in enumerate(_unpack(_prs_resultant(A, B), size, nbytes)):
         if x:
             e = list(offset)
             for v, _, k, _, slots, stride in live:

@@ -13,6 +13,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from wronski import deadline
 from wronski.elimination import certify_no_real_solutions, count_real_intersections, eliminate_to_t
 from wronski.harness import monte_carlo_hexagon
 from wronski.heights import (HeightFunction, alcoved_lift, in_secondary_cone,
@@ -174,7 +175,8 @@ def test_criterion_8_kushnirenko_and_parity():
 def test_criterion_9_delta5_stretch():
     start = time.monotonic()
     system = meta_system(5, HeightFunction.rho(5))
-    result = eliminate_to_t(system, refine=2, deadline=start + 1800.0)
+    with deadline(start + 1800.0):
+        result = eliminate_to_t(system, refine=2)
     cands = result.real_root_candidates(include_zero=False,
                                         refine_width=Q(1, 10000))
     positives = [iv for iv in cands

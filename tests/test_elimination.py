@@ -1,21 +1,23 @@
 import functools
 import json
+import time
 import zlib
 from fractions import Fraction as Q
 
 import pytest
 
-from wronski import realroots
-from wronski.elimination import (_compressed_gcd, _compressed_squarefree, _t_content,
-                                 boundary_check, certify_elimination, certify_no_real_solutions,
-                                 count_real_intersections, eliminate_to_t)
+from wronski import deadline, elimination, realroots
+from wronski.elimination import (EliminationResult, _compressed_gcd, _compressed_squarefree,
+                                 _t_content, boundary_check, certify_elimination,
+                                 certify_no_real_solutions, count_real_intersections,
+                                 eliminate_to_t)
 from wronski.errors import EliminationError
 from wronski.heights import HeightFunction, minimal_height
 from wronski.lattice import hexagon_example
 from wronski.polynomial import Polynomial
 from wronski.realroots import (IsolatingInterval, UnivariatePolynomial, count_real_roots,
                                ddiv_exact, dgcd, dmul, isolate_real_roots, sturm_count)
-from wronski.resultants import resultant, resultant_factors
+from wronski.resultants import resultant
 from wronski.rng import Stream
 from wronski.systems import meta_system, meta_system_from_points
 
@@ -168,136 +170,109 @@ def test_count_rejects_constant_curves():
 
 
 def test_eliminate_honors_deadline():
-    import time
-
     system = meta_system(5, HeightFunction.rho(5))
-    with pytest.raises(TimeoutError):
-        eliminate_to_t(system, deadline=time.monotonic() - 1)
+    with deadline(time.monotonic() - 1), pytest.raises(TimeoutError):
+        eliminate_to_t(system)
 
 
 def test_squarefree_and_gcd_passes_honor_deadline():
-    import time
-
     past = time.monotonic() - 1
     a = dmul([-1, 0, 0, 1], [2, 0, 0, 1])  # (t^3 - 1)(t^3 + 2), in the lattice 3
     b = dmul(a, a)
-    with pytest.raises(TimeoutError):
-        dgcd(a, dmul(a, [1, 1]), deadline=past)
-    with pytest.raises(TimeoutError):
-        UnivariatePolynomial(b).squarefree_part(deadline=past)
-    with pytest.raises(TimeoutError):
-        _compressed_squarefree(b, past)
-    with pytest.raises(TimeoutError):
-        _compressed_gcd(b, dmul(a, [3, 0, 0, 1]), past)
-    assert _compressed_squarefree(b) == a and _compressed_gcd(b, a) == a
     t = Polynomial.variable("t", ("t", "y"))
     y = Polynomial.variable("y", ("t", "y"))
     p = (1 + t) * (y + t + 2)  # the Z[t] content 1 + t takes a gcd
-    with pytest.raises(TimeoutError):
-        _t_content(p, past)
+    with deadline(past):
+        with pytest.raises(TimeoutError):
+            dgcd(a, dmul(a, [1, 1]))
+        with pytest.raises(TimeoutError):
+            UnivariatePolynomial(b).squarefree_part()
+        with pytest.raises(TimeoutError):
+            _compressed_squarefree(b)
+        with pytest.raises(TimeoutError):
+            _compressed_gcd(b, dmul(a, [3, 0, 0, 1]))
+        with pytest.raises(TimeoutError):
+            _t_content(p)
+    assert _compressed_squarefree(b) == a and _compressed_gcd(b, a) == a
     assert _t_content(p) == (y + t + 2, UnivariatePolynomial([1, 1]))
 
 
-def test_eliminate_passes_its_deadline_to_the_squarefree_pass(monkeypatch):
+def test_eliminate_passes_its_deadline_to_the_squarefree_pass(expire_after):
     # the clock runs out right after the outer resultant, so only the
     # squarefree pass that follows can notice it
-    import time
+    expire_after(elimination, "resultant_factors")
+    with deadline(time.monotonic() + 600), pytest.raises(TimeoutError, match="gcd"):
+        eliminate_to_t(meta_system(3, HeightFunction.rho(3)))
 
-    from wronski import elimination
 
-    def factors_then_expire(*args):
-        out = resultant_factors(*args)
-        monkeypatch.setattr(time, "monotonic", lambda: float("inf"))
-        return out
-
-    monkeypatch.setattr(elimination, "resultant_factors", factors_then_expire)
-    with pytest.raises(TimeoutError, match="gcd"):
-        eliminate_to_t(meta_system(3, HeightFunction.rho(3)), deadline=time.monotonic() + 600)
+def test_eliminate_passes_its_deadline_to_the_t_contents(expire_after):
+    # the clock runs out once the first x-resultant (1 + t)(2 - y - y^2) is
+    # reduced, so only the gcd of its Z[t] content 1 + t can notice it
+    V = ("t", "x", "y")
+    t, x, y = (Polynomial.variable(v, V) for v in V)
+    bad = meta_system(1, HeightFunction.zero(1))
+    fs = (x + y - 2, (1 + t) * (x - y * y), x - y * y + (t - 2) * y)
+    system = type(bad)(bad.points, bad.coloring, bad.omega, bad.kappa, fs, 1)
+    expire_after(elimination, "_strip_t_power")
+    with deadline(time.monotonic() + 600), pytest.raises(TimeoutError, match="gcd") as info:
+        eliminate_to_t(system)
+    assert "_t_content" in [entry.name for entry in info.traceback]
 
 
 def test_root_candidates_and_certificates_honor_deadline():
-    import time
-
     from wronski.elimination import certify_elimination
 
     result = eliminate_to_t(meta_system(3, HeightFunction.rho(3)))
-    past = time.monotonic() - 1
-    with pytest.raises(TimeoutError):
-        result.real_root_candidates(deadline=past)
-    with pytest.raises(TimeoutError):
-        certify_elimination(result, deadline=past)
+    with deadline(time.monotonic() - 1):
+        with pytest.raises(TimeoutError):
+            result.real_root_candidates()
+        with pytest.raises(TimeoutError):
+            certify_elimination(result)
     assert len(result.real_root_candidates(refine_width=Q(1, 1000))) == 3  # t = 0 and two more
 
 
-def _deadline_spies(monkeypatch, names):
-    """Wrap the named functions of the elimination module; record each call's deadline."""
-    import inspect
-
-    from wronski import elimination
-
-    seen = {name: [] for name in names}
-    for name in names:
-        fn = getattr(elimination, name)
-
-        def spy(*args, _fn=fn, _seen=seen[name], **kwargs):
-            _seen.append(inspect.signature(_fn).bind(*args, **kwargs).arguments.get("deadline"))
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(elimination, name, spy)
-    return seen
-
-
-def test_eliminate_passes_its_deadline_to_the_t_contents(monkeypatch):
-    import time
-
-    system = meta_system(3, HeightFunction.rho(3))
-    expected = eliminate_to_t(system, refine=2).to_json()
-    deadline = time.monotonic() + 600
-    seen = _deadline_spies(monkeypatch, ("_t_content", "dgcd"))
-    assert eliminate_to_t(system, refine=2, deadline=deadline).to_json() == expected
-    assert seen["_t_content"] and seen["dgcd"]
-    assert set(seen["_t_content"]) == set(seen["dgcd"]) == {deadline}
-
-
-def test_window_counts_and_certificates_pass_their_deadline(monkeypatch):
-    import time
-
+def test_window_counts_and_certificates_pass_their_deadline(expire_after):
     from wronski.elimination import _content_has_roots
 
     past = time.monotonic() - 1
-    with pytest.raises(TimeoutError):
-        _content_has_roots(UnivariatePolynomial.from_roots([1, 3]), Q(2), past)
+    with deadline(past), pytest.raises(TimeoutError):
+        _content_has_roots(UnivariatePolynomial.from_roots([1, 3]), Q(2))
     # E is isolated already, so only the count in the window overlap can
     # notice the deadline: the interval (0, 143) straddles 9999/10000
     result = delta5_elimination()
     isolate_real_roots(result.E)
-    with pytest.raises(TimeoutError):
-        result.real_root_candidates(0, Q(9999, 10000), include_zero=False, deadline=past)
+    with deadline(past), pytest.raises(TimeoutError) as info:
+        result.real_root_candidates(0, Q(9999, 10000), include_zero=False)
+    assert "sturm_count" in [entry.name for entry in info.traceback]
     hexagon = eliminate_to_t(hexagon_meta())
     expected = certify_elimination(hexagon, Q(1))  # by its zero-free partial projection
     assert expected.method == "projection-factor"
-    deadline = time.monotonic() + 600
-    seen = _deadline_spies(monkeypatch, ("sturm_count", "count_real_roots"))
-    assert certify_elimination(hexagon, Q(1), deadline) == expected
-    assert result.real_root_candidates(0, Q(9999, 10000), include_zero=False,
-                                       deadline=deadline) == []
-    for name in seen:
-        assert seen[name] and set(seen[name]) == {deadline}, name
+    with deadline(time.monotonic() + 600):
+        assert certify_elimination(hexagon, Q(1)) == expected
+    # the clock runs out once the candidates are listed, so only the root
+    # count of the partial projection can notice it
+    expire_after(EliminationResult, "real_root_candidates")
+    with deadline(time.monotonic() + 600), pytest.raises(TimeoutError) as info:
+        certify_elimination(hexagon, Q(1))
+    assert "t_free_no_real_zeros" in [entry.name for entry in info.traceback]
 
 
-def test_boundary_check_honours_its_deadline(monkeypatch):
-    import time
-
+def test_boundary_check_honours_its_deadline(expire_after):
+    # the first check is the first PRS at delta 5, and at delta 3, whose
+    # stratum resultants are monomial shortcuts, the first gcd
+    for delta, site in ((5, "_prs_resultant"), (3, "_gcd_cofactor")):
+        with deadline(time.monotonic() - 1), pytest.raises(TimeoutError) as info:
+            boundary_check(meta_system(delta, HeightFunction.rho(delta)))
+        assert info.traceback[-2].name == site
     system = meta_system(3, HeightFunction.rho(3))
-    with pytest.raises(TimeoutError):
-        boundary_check(system, deadline=time.monotonic() - 1)
     expected = boundary_check(system)
-    deadline = time.monotonic() + 600
-    names = ("resultant", "dgcd", "isolate_real_roots")
-    seen = _deadline_spies(monkeypatch, names)
-    assert boundary_check(system, deadline) == expected
-    for name in names:
-        assert seen[name] and set(seen[name]) == {deadline}, name
+    with deadline(time.monotonic() + 600):
+        assert boundary_check(system) == expected
+    # the clock runs out after the first gcd, so only the isolation can notice it
+    expire_after(elimination, "dgcd")
+    with deadline(time.monotonic() + 600), pytest.raises(TimeoutError) as info:
+        boundary_check(system)
+    assert "isolate_real_roots" in [entry.name for entry in info.traceback]
 
 
 def test_minimal_height_elimination_is_sound_superset():
@@ -462,9 +437,9 @@ def test_window_count_after_isolation_runs_no_second_subdivision(monkeypatch):
     subdivisions = []
     real_roots = realroots._real_roots
 
-    def counted_roots(q, deadline=None):
+    def counted_roots(q):
         subdivisions.append(q)
-        return real_roots(q, deadline)
+        return real_roots(q)
 
     monkeypatch.setattr(realroots, "_real_roots", counted_roots)
     (seven_halves,) = result.real_root_candidates(3, Q(7, 2))

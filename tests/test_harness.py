@@ -1,9 +1,11 @@
 import json
+import time
 import zlib
 from fractions import Fraction as Q
 
 import pytest
 
+from wronski import deadline
 from wronski.cli import main as cli_main
 from wronski.errors import DomainError
 from wronski.harness import (ExperimentConfig, RunRecord, meta_report, monte_carlo_hexagon,
@@ -96,35 +98,26 @@ def test_meta_report_payload_pinned(delta, height, crc):
     assert zlib.crc32(json.dumps(payload, sort_keys=True).encode()) == crc
 
 
-def test_meta_report_forwards_its_deadline_past_the_elimination(monkeypatch):
-    # the elimination ignores the deadline here, so only isolation can notice it
-    import time
-
+def test_meta_report_forwards_its_deadline_past_the_elimination(expire_after):
+    # the clock runs out right after the elimination, so only the root
+    # isolation of the report can notice it
     from wronski import harness
 
-    eliminate = harness.eliminate_to_t
-    monkeypatch.setattr(harness, "eliminate_to_t",
-                        lambda system, refine, seed, deadline: eliminate(system, refine, seed))
-    with pytest.raises(TimeoutError):
-        meta_report(3, "rho", deadline=time.monotonic() - 1)
+    with deadline(time.monotonic() - 1), pytest.raises(TimeoutError):
+        meta_report(3, "rho")
+    expire_after(harness, "eliminate_to_t")
+    with deadline(time.monotonic() + 600), pytest.raises(TimeoutError) as info:
+        meta_report(3, "rho")
+    assert "real_root_candidates" in [entry.name for entry in info.traceback]
 
 
-def test_meta_report_forwards_its_deadline_to_the_boundary_strata(monkeypatch):
-    import time
-
+def test_meta_report_forwards_its_deadline_to_the_boundary_strata(expire_after):
     from wronski import harness
 
-    seen = []
-    check = harness.boundary_check
-
-    def recorded(system, deadline=None):
-        seen.append(deadline)
-        return check(system, deadline)
-
-    monkeypatch.setattr(harness, "boundary_check", recorded)
-    deadline = time.monotonic() + 600
-    meta_report(3, "rho", deadline=deadline)
-    assert seen == [deadline]
+    expire_after(harness, "certify_elimination")
+    with deadline(time.monotonic() + 600), pytest.raises(TimeoutError) as info:
+        meta_report(3, "rho")
+    assert "boundary_check" in [entry.name for entry in info.traceback]
 
 
 def test_meta_report_isolates_each_polynomial_once(monkeypatch):
@@ -133,9 +126,9 @@ def test_meta_report_isolates_each_polynomial_once(monkeypatch):
     seen = []
     isolate = realroots._isolate
 
-    def counted(p, deadline):
+    def counted(p):
         seen.append(p)
-        return isolate(p, deadline)
+        return isolate(p)
 
     monkeypatch.setattr(realroots, "_isolate", counted)
     meta_report(3, "min", refine=0)

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from wronski import realroots
+from wronski import deadline, realroots
 from wronski.polynomial import Polynomial
 from wronski.realroots import (CERTIFICATE_PRIMES, QUOTIENT_2ADIC_BITS, _inverse_2adic,
                                _is_prime, _primes, dcompress, ddiv_exact, dexpand,
@@ -404,8 +404,8 @@ def test_modular_gcd_trivial_operands(monkeypatch):
 
 def test_modular_gcd_checks_its_deadline_before_the_first_prime(monkeypatch):
     seen = images(monkeypatch)
-    with pytest.raises(TimeoutError):
-        dgcd([-1, 1], [1, 1], deadline=time.monotonic() - 1)
+    with deadline(time.monotonic() - 1), pytest.raises(TimeoutError):
+        dgcd([-1, 1], [1, 1])
     assert seen == []
 
 

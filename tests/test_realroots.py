@@ -1,8 +1,9 @@
+import time
 from fractions import Fraction
 
 import pytest
 
-from wronski import realroots
+from wronski import deadline, realroots
 from wronski.errors import DomainError
 from wronski.realroots import (CERTIFICATE_PRIMES, UnivariatePolynomial, _gcd_cofactor,
                                count_real_roots, dmul, dstrip, isolate_real_roots,
@@ -11,6 +12,16 @@ from wronski.realroots import (CERTIFICATE_PRIMES, UnivariatePolynomial, _gcd_co
 from wronski.rng import Stream
 
 U = UnivariatePolynomial
+
+
+@pytest.fixture
+def ten_second_run():
+    """A 10 s run deadline: an isolation walk that never ends fails instead of hanging."""
+    with deadline(time.monotonic() + 10):
+        yield
+
+
+isolation = pytest.mark.usefixtures("ten_second_run")
 
 
 def test_sturm_examples():
@@ -68,6 +79,7 @@ def test_sturm_constructed_oracle():
         assert sturm_count(p, (lo, hi)) == k
 
 
+@isolation
 def test_isolation_sqrt2():
     ivs = isolate_real_roots(U([-2, 0, 1]))
     assert len(ivs) == 2
@@ -77,6 +89,7 @@ def test_isolation_sqrt2():
     assert 1 < pos.lo and pos.hi < Fraction(3, 2)
 
 
+@isolation
 def test_isolation_cube_origin_point():
     ivs = isolate_real_roots(U([0, 0, 0, 1]))
     assert len(ivs) == 1
@@ -84,6 +97,7 @@ def test_isolation_cube_origin_point():
     assert not ivs[0].multiplicity_free
 
 
+@isolation
 def test_isolation_recovers_constructed_roots():
     stream = Stream(0x150)
     for _ in range(25):
@@ -100,6 +114,7 @@ def test_isolation_recovers_constructed_roots():
             assert a.hi <= b.lo
 
 
+@isolation
 def test_isolation_rational_roots_found_exactly():
     p = U.from_roots([Fraction(1, 2), 3]) * U([1, 0, 1])
     ivs = isolate_real_roots(p)
@@ -111,6 +126,7 @@ def test_isolation_rational_roots_found_exactly():
     assert vals == sorted(vals)
 
 
+@isolation
 def test_isolation_runs_the_subdivision_once_per_polynomial(monkeypatch):
     # twelve irrational roots, two of them 3.5e-5 apart: many splits and no
     # exact root at a dyadic midpoint, so the Descartes subdivision runs once
@@ -118,9 +134,9 @@ def test_isolation_runs_the_subdivision_once_per_polynomial(monkeypatch):
     subdivisions, ranked = [], []
     real_roots, rank = realroots._real_roots, realroots._rank
 
-    def counted_roots(q, deadline=None):
+    def counted_roots(q):
         subdivisions.append(q)
-        return real_roots(q, deadline)
+        return real_roots(q)
 
     def counted_rank(q, dq, roots, x):
         ranked.append(x)
@@ -170,6 +186,7 @@ def _isolation_family():
     return family
 
 
+@isolation
 def test_isolating_intervals_are_pinned():
     import json
     import zlib
@@ -183,6 +200,7 @@ def test_isolating_intervals_are_pinned():
     assert zlib.crc32(json.dumps(data).encode()) == 2955359611
 
 
+@isolation
 def test_refine_interval_width():
     p = U([-2, 0, 1])
     iv = isolate_real_roots(p)[1]
@@ -192,6 +210,7 @@ def test_refine_interval_width():
     assert abs(mid * mid - 2) < Fraction(1, 100000)
 
 
+@isolation
 def test_min_positive_real_root():
     assert min_positive_real_root(U([1, 0, 1])) is None
     iv = min_positive_real_root(U([-1, 0, 1]))
@@ -202,6 +221,7 @@ def test_min_positive_real_root():
     assert iv.lo < Fraction(1, 4) < iv.hi or iv.is_point
 
 
+@isolation
 def test_min_positive_ignores_zero_root():
     p = U.from_roots([0, 0, Fraction(3, 7)])
     iv = min_positive_real_root(p)
@@ -220,6 +240,7 @@ def test_root_bound_contains_all_roots():
         assert all(abs(r) < b for r in roots)
 
 
+@isolation
 def test_isolation_closed_interval_invariant():
     # each returned closed interval must contain exactly one distinct root,
     # even when another root sits near a bisection breakpoint
@@ -240,6 +261,7 @@ def test_squarefree_part_and_flag():
     assert sf.is_squarefree()
 
 
+@isolation
 def test_squarefree_part_is_kept_and_reused():
     p = U.from_roots([1, 1, 2, Fraction(1, 3)])
     sf = p.squarefree_part()
@@ -408,6 +430,7 @@ def test_counts_and_primes_match_sympy():
 # -- integer signs, kept intervals and deadlines in isolation ---------------------------
 
 
+@isolation
 def test_isolation_does_not_depend_on_scale_or_sign():
     # signs are taken from an integer multiple of p by a positive number, so
     # the intervals of p, -p and rational multiples of p must agree
@@ -422,15 +445,16 @@ def test_isolation_does_not_depend_on_scale_or_sign():
     assert sturm_count(-p, (Fraction(1, 2), Fraction(7, 4))) == 2
 
 
+@isolation
 def test_isolation_is_kept_once_computed(monkeypatch):
     from wronski import realroots
 
     seen = []
     isolate = realroots._isolate
 
-    def counted(p, deadline):
+    def counted(p):
         seen.append(p)
-        return isolate(p, deadline)
+        return isolate(p)
 
     monkeypatch.setattr(realroots, "_isolate", counted)
     p = U.from_roots([1, 2, Fraction(5, 3)]) * U([-2, 0, 1])
@@ -442,36 +466,35 @@ def test_isolation_is_kept_once_computed(monkeypatch):
 
 
 def test_counts_honor_deadline():
-    import time
-
     past = time.monotonic() - 1
     p = U.from_roots([1, 2, 3, Fraction(1, 3)]) * U([-2, 0, 1])
-    counters = (count_real_roots, lambda p, deadline=None: sturm_count(p, (0, 2), deadline))
+    counters = (count_real_roots, lambda p: sturm_count(p, (0, 2)))
     for count, expected in zip(counters, (6, 4)):  # 1/3, 1, sqrt 2 and 2 in (0, 2]
         q = U(p.coeffs)
-        with pytest.raises(TimeoutError):  # the squarefree gcd notices first
-            count(q, deadline=past)
+        with deadline(past), pytest.raises(TimeoutError):
+            count(q)
         q.squarefree_part()
-        with pytest.raises(TimeoutError):  # then the subdivision
-            count(q, deadline=past)
+        with deadline(past), pytest.raises(TimeoutError):
+            count(q)
         assert count(q) == expected and q._roots is None
+        with deadline(past), pytest.raises(TimeoutError):  # the kept data is checked too
+            count(q)
 
 
+@isolation
 def test_isolation_and_refinement_honor_deadline():
-    import time
-
     past = time.monotonic() - 1
     p = U.from_roots([1, 2, 3, Fraction(1, 3)]) * U([-2, 0, 1])
-    with pytest.raises(TimeoutError):  # the squarefree gcd notices first
-        isolate_real_roots(p, deadline=past)
+    with deadline(past), pytest.raises(TimeoutError, match="gcd"):  # the squarefree gcd first
+        isolate_real_roots(p)
     p.squarefree_part()
-    with pytest.raises(TimeoutError):
-        isolate_real_roots(p, deadline=past)
+    with deadline(past), pytest.raises(TimeoutError):
+        isolate_real_roots(p)
     ivs = isolate_real_roots(p)
     assert len(ivs) == 6
     wide = next(iv for iv in ivs if not iv.is_point)
-    with pytest.raises(TimeoutError):
-        refine_interval(p, wide, Fraction(1, 10 ** 6), deadline=past)
+    with deadline(past), pytest.raises(TimeoutError, match="interval refinement"):
+        refine_interval(p, wide, Fraction(1, 10 ** 6))
     assert refine_interval(p, wide, Fraction(1, 10 ** 6)).width() <= Fraction(1, 10 ** 6)
 
 
