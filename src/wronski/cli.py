@@ -15,10 +15,9 @@ from fractions import Fraction
 
 from .errors import DegenerateInstanceError, DomainError, EliminationError
 from .harness import (ExperimentConfig, check_ranges, meta_report, monte_carlo_hexagon,
-                      pair_experiment, plot_curves, resolve_height, triangulation_json,
-                      triangulation_report)
+                      pair_experiment, plot_curves, resolve_height, triangulation_report)
 from .heights import in_secondary_cone
-from .lattice import load_triangulation
+from .lattice import honeycomb_triangulation, load_triangulation, to_json_dict
 from .orient import facet_system, orientation_witness, standard_triangle
 from .plotting import write_atomic
 from .systems import meta_system
@@ -147,7 +146,7 @@ def _dispatch(args) -> int:
             rec = triangulation_report(args.delta, args.height)
             _emit(rec.to_json(), args.out, args.format)
         else:
-            _emit(triangulation_json(args.delta), args.out, args.format)
+            _emit(to_json_dict(honeycomb_triangulation(args.delta)), args.out, args.format)
     elif cmd == "orient":
         if args.delta is not None:
             fs = facet_system(standard_triangle(args.delta))

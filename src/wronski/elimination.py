@@ -129,24 +129,26 @@ class EliminationResult:
     def real_root_candidates(self, lo=None, hi=None, include_zero=True, refine_width=None):
         """Isolating intervals of every certified-candidate real t in (lo, hi].
 
-        A candidate is kept when its root lies in the window, decided exactly
-        (see _root_in_window); lo or hi None leaves that side open.
+        lo or hi None leaves that side open.  A source's candidates in the
+        window are its isolating intervals ranked between its root counts at
+        the window's ends: ivs[sturm_count(src, (None, lo)):sturm_count(src, (None, hi))].
+        Only those are refined.
         """
         lo = Fraction(lo) if lo is not None else None
         hi = Fraction(hi) if hi is not None else None
         own = []
-        sources = [self.E] + [c for c in self.content_factors if c.degree() > 0]
-        for src in sources:
+        for src in [self.E] + list(self.content_factors):
             if src.degree() <= 0:
                 continue
-            for iv in isolate_real_roots(src):
+            ivs = isolate_real_roots(src)
+            first = 0 if lo is None else sturm_count(src, (None, lo))
+            last = len(ivs) if hi is None else sturm_count(src, (None, hi))
+            for iv in ivs[first:last]:
                 if refine_width is not None:
                     iv = refine_interval(src, iv, Fraction(refine_width))
-                if _root_in_window(src, iv, lo, hi):
-                    own.append(iv)
-        zero = IsolatingInterval(Fraction(0), Fraction(0))
-        if self.t_power_removed and include_zero and _root_in_window(None, zero, lo, hi):
-            own.append(zero)
+                own.append(iv)
+        if self.t_power_removed and (lo is None or lo < 0) and (hi is None or hi >= 0):
+            own.append(IsolatingInterval(Fraction(0), Fraction(0)))
         seen = set()
         out = []
         for iv in sorted(own, key=lambda v: (v.lo, v.hi)):
@@ -368,28 +370,14 @@ def certify_elimination(result: EliminationResult, t_upper=None) -> Certificate:
                        tuple(candidates))
 
 
-def _root_in_window(src, iv: IsolatingInterval, lo, hi) -> bool:
-    """Whether the root of src that iv isolates lies in (lo, hi], decided exactly.
-
-    lo or hi None leaves that side open.  A point is its root (src is not
-    consulted).  A proper interval holds exactly one root of src, strictly
-    inside, so it lies in the window when the interval does, and otherwise
-    exactly when src has a root in the overlap (max(iv.lo, lo), min(iv.hi, hi)].
-    """
-    if iv.is_point:
-        return (lo is None or lo < iv.lo) and (hi is None or iv.lo <= hi)
-    a = iv.lo if lo is None else max(iv.lo, lo)
-    b = iv.hi if hi is None else min(iv.hi, hi)
-    if (a, b) == (iv.lo, iv.hi):
-        return True
-    return a < b and sturm_count(src, (a, b)) > 0
-
-
 def _content_has_roots(content: UnivariatePolynomial, t_upper) -> bool:
-    """Whether content vanishes in (0, t_upper], or anywhere but 0 when t_upper is None."""
+    """Whether content vanishes in (0, t_upper], or anywhere but 0 when t_upper is None.
+
+    Both are root counts: over the window, or over the line less a root at 0.
+    """
     if t_upper is not None:
         return sturm_count(content, (0, t_upper)) > 0
-    return any(not (iv.is_point and iv.lo == 0) for iv in isolate_real_roots(content))
+    return count_real_roots(content) > (content.coeffs[0] == 0)
 
 
 # -- real intersection counting -----------------------------------------------------
@@ -498,6 +486,7 @@ def boundary_check(system: MetaSystem):
     certified superset of the t-values of real stratum solutions.
     """
     out = []
+    gcds = {}  # coefficient tuple -> G, so that equal strata share one isolation
     for restriction in boundary_subsystems(system):
         polys = list(restriction.polys.values())
         colors = tuple(sorted(restriction.polys))
@@ -507,8 +496,7 @@ def boundary_check(system: MetaSystem):
                                       "positive-dimensional", (),
                                       "all color slices vanish on the stratum"))
             continue
-        consts = [p for p in polys if p.is_constant()]
-        if any(not p.is_zero() and p.is_constant() and p.degree("t") <= 0 for p in consts):
+        if any(p.is_constant() for p in polys):
             out.append(BoundaryReport(label, restriction.zeroed, colors, "infeasible",
                                       (), "a nonzero constant slice forbids solutions"))
             continue
@@ -534,14 +522,13 @@ def boundary_check(system: MetaSystem):
         g = []
         for c in candidates:
             g = dgcd(g, c) if g else dprimitive(c)
-        G = UnivariatePolynomial(g)
+        G = gcds.setdefault(tuple(g), UnivariatePolynomial(g))
         if G.degree() <= 0:
             status, ivs = "infeasible", ()
         else:
-            roots = isolate_real_roots(G)
-            ivs = tuple(roots)
-            nonzero = [iv for iv in roots if not (iv.is_point and iv.lo == 0)]
-            status = "no-real-t-nonzero" if not nonzero else "candidates"
+            ivs = tuple(isolate_real_roots(G))
+            nonzero = len(ivs) - (g[0] == 0)  # g(0) = 0 puts one root at 0
+            status = "candidates" if nonzero else "no-real-t-nonzero"
         out.append(BoundaryReport(label, restriction.zeroed, colors, status, ivs,
                                   f"eliminated to gcd of degree {G.degree()}"))
     return out

@@ -19,7 +19,7 @@ from .elimination import (boundary_check, certify_elimination, count_real_inters
                           eliminate_to_t)
 from .errors import DegenerateInstanceError, DomainError
 from .heights import HeightFunction, in_secondary_cone, load_heights, minimal_height, secondary_cone_facets
-from .lattice import f_vector, hexagon_example, honeycomb_triangulation, signature, to_json_dict
+from .lattice import f_vector, hexagon_example, honeycomb_triangulation, signature
 from .orient import facet_system, orientation_witness, standard_triangle
 from .plotting import plot_pair, write_atomic
 from .rng import Stream, derive_seed
@@ -114,10 +114,6 @@ class RunRecord:
 
     def write(self, path: str):
         write_atomic(path, json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
-
-
-def _interval_json(iv):
-    return None if iv is None else iv.to_json()
 
 
 def _draw_nonzero(stream: Stream, lo: Fraction, hi: Fraction, band: Fraction):
@@ -217,12 +213,9 @@ def meta_report(delta: int, height, refine: int = 2, seed: int = 0,
     result = eliminate_to_t(system, refine=refine, seed=seed)
     lo, hi = Fraction(scan[0]), Fraction(scan[1])
     in_window = result.real_root_candidates(lo=lo, hi=hi, include_zero=False)
-    all_nonzero = result.real_root_candidates(include_zero=False, refine_width=Fraction(1, 10000))
-    min_pos = None
-    pos = [iv for iv in all_nonzero
-           if (iv.is_point and iv.lo > 0) or (not iv.is_point and iv.lo >= 0)]
-    if pos:
-        min_pos = pos[0]
+    width = Fraction(1, 10000)
+    all_nonzero = result.real_root_candidates(include_zero=False, refine_width=width)
+    positive = result.real_root_candidates(lo=0, include_zero=False, refine_width=width)
     cert = certify_elimination(result)
     boundary = [
         {"stratum": rep.label, "status": rep.status, "colors": list(rep.colors_present),
@@ -235,7 +228,7 @@ def meta_report(delta: int, height, refine: int = 2, seed: int = 0,
         "real_roots_in_window": [iv.to_json() for iv in in_window],
         "window": [str(lo), str(hi)],
         "real_roots_nonzero_t": len(all_nonzero),
-        "min_positive_root": _interval_json(min_pos),
+        "min_positive_root": positive[0].to_json() if positive else None,
         "no_real_solutions_nonzero_t": {
             "certified": cert.certified, "method": cert.method, "detail": cert.detail},
         "boundary": boundary,
@@ -277,7 +270,3 @@ def plot_curves(delta: int, height, t, c, cprime, window, resolution: int,
     hf = resolve_height(height, delta)
     pair = wronski_pair(delta, hf, c, cprime, t)
     return plot_pair(*pair.polys, window=window, resolution=resolution, path=path, seed=seed)
-
-
-def triangulation_json(delta: int) -> dict:
-    return to_json_dict(honeycomb_triangulation(delta))

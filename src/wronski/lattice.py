@@ -29,7 +29,7 @@ class Triangle:
     @classmethod
     def from_points(cls, pts) -> "Triangle":
         vs = tuple(sorted(tuple(p) for p in pts))
-        vol = normalized_volume_of(vs)
+        vol = normalized_volume(vs)
         return cls(vs, _classify_orientation(vs), vol)
 
 
@@ -58,19 +58,16 @@ class Triangulation2D:
             object.__setattr__(self, "heights", dict(self.heights))
 
 
-def normalized_volume_of(vs) -> int:
+def normalized_volume(tri) -> int:
+    """Normalized volume |det(v2-v1, v3-v1)| of a triangle or point triple."""
+    if isinstance(tri, Triangle):
+        return tri.cell_volume
+    vs = tuple(tri)
     (x1, y1), (x2, y2), (x3, y3) = vs
     det = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
     if det == 0:
         raise DomainError(f"degenerate triangle {vs}")
     return abs(det)
-
-
-def normalized_volume(tri) -> int:
-    """Normalized volume |det(v2-v1, v3-v1)| of a triangle or point triple."""
-    if isinstance(tri, Triangle):
-        return tri.cell_volume
-    return normalized_volume_of(tuple(tri))
 
 
 def _classify_orientation(vs):

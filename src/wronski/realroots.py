@@ -830,9 +830,11 @@ def refine_interval(p: UnivariatePolynomial, interval: IsolatingInterval,
 
 
 def min_positive_real_root(p: UnivariatePolynomial, width=Fraction(1, 10000)):
-    """Isolating interval of the least real root > 0, refined; None if there is none."""
-    roots = [iv for iv in isolate_real_roots(p)
-             if (iv.is_point and iv.lo > 0) or (not iv.is_point and iv.lo >= 0)]
+    """Isolating interval of the least real root > 0, refined; None if there is none.
+
+    The roots at or below 0 are the first sturm_count(p, (None, 0)) intervals.
+    """
+    roots = isolate_real_roots(p)[sturm_count(p, (None, 0)):]
     if not roots:
         return None
     return refine_interval(p, roots[0], width)

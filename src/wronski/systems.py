@@ -135,14 +135,9 @@ def meta_system_from_points(points, coloring, omega, kappa=None, delta=None) -> 
     coloring = {tuple(p): int(c) for p, c in coloring.items()}
     om = _omega_dict(omega, points)
     ka = _kappa_dict(kappa, points)
-    fs = []
-    for k in range(3):
-        terms = {}
-        for p in points:
-            if coloring[p] == k:
-                terms[(om[p], p[0], p[1])] = ka[p]
-        fs.append(Polynomial(VARS_TXY, terms))
-    return MetaSystem(points, coloring, om, ka, tuple(fs), delta)
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    fs = tuple(wronski_from_points(points, coloring, om, e, None, ka) for e in units)
+    return MetaSystem(points, coloring, om, ka, fs, delta)
 
 
 def meta_system(delta: int, omega, kappa=None) -> MetaSystem:
@@ -193,10 +188,13 @@ def boundary_subsystems(system: MetaSystem):
     """Restrictions of the meta-system to the strata x=0, y=0 and x=y=0."""
     out = []
     for zeroed in (("x",), ("y",), ("x", "y")):
-        sub = {v: 0 for v in zeroed}
         polys = {}
         for k in range(3):
-            g = system.f[k].substitute(sub).drop_unused()
+            f = system.f[k]
+            # setting a variable to 0 keeps exactly the terms free of it
+            idx = [i for i, v in enumerate(f.vars) if v in zeroed]
+            terms = {e: c for e, c in f.terms.items() if not any(e[i] for i in idx)}
+            g = Polynomial(f.vars, terms).drop_unused()
             if not g.is_zero():
                 polys[k] = g
         label = "=".join(zeroed) + "=0"

@@ -400,6 +400,72 @@ def test_candidates_window_is_half_open():
     assert result.real_root_candidates(0, Q(13, 4)) == [point]
 
 
+def _root_in_window(src, iv, lo, hi):
+    """Whether the root that iv isolates lies in (lo, hi], from the interval itself.
+
+    The rule the candidates were once chosen by, kept as the reference: a
+    point is its root; a proper interval holds one root of src strictly
+    inside, so it lies in the window when the interval does, and otherwise
+    exactly when src has a root in the overlap (max(iv.lo, lo), min(iv.hi, hi)].
+    """
+    if iv.is_point:
+        return (lo is None or lo < iv.lo) and (hi is None or iv.lo <= hi)
+    a = iv.lo if lo is None else max(iv.lo, lo)
+    b = iv.hi if hi is None else min(iv.hi, hi)
+    if (a, b) == (iv.lo, iv.hi):
+        return True
+    return a < b and sturm_count(src, (a, b)) > 0
+
+
+def reference_candidates(result, lo, hi, include_zero, refine_width):
+    """real_root_candidates by refining every interval and testing each one alone."""
+    from wronski.realroots import refine_interval
+
+    own = []
+    for src in (result.E,) + result.content_factors:
+        for iv in isolate_real_roots(src):
+            if refine_width is not None:
+                iv = refine_interval(src, iv, refine_width)
+            if _root_in_window(src, iv, lo, hi):
+                own.append(iv)
+    zero = IsolatingInterval(Q(0), Q(0))
+    if result.t_power_removed and _root_in_window(None, zero, lo, hi):
+        own.append(zero)
+    return sorted({(iv.lo, iv.hi) for iv in own
+                   if include_zero or not (iv.is_point and iv.lo == 0)})
+
+
+def random_rational_roots(stream, n):
+    return sorted({Q(stream.int_in(-12, 12), stream.int_in(1, 4)) for _ in range(n)})
+
+
+def test_candidates_by_rank_match_the_per_interval_rule():
+    # sources with exact rational roots (some times t^2 - 2 for irrational
+    # ones) and contents; window ends on roots, on interval ends, inside
+    # intervals, and open
+    stream = Stream(0x51ACE)
+    for case in range(20):
+        roots = [random_rational_roots(stream, stream.int_in(1, 5))
+                 for _ in range(stream.int_in(1, 3))]
+        E, *contents = map(UnivariatePolynomial.from_roots, roots)
+        if case % 3 == 0:
+            E = E * UnivariatePolynomial([-2, 0, 1])
+        result = EliminationResult(E, E.degree(), case % 2, tuple(contents), 0, (0, 0), ())
+        ends = set().union(*roots)
+        for src in [E] + contents:
+            for iv in isolate_real_roots(src):
+                ends |= {iv.lo, iv.hi, iv.midpoint()}
+        ends = sorted(ends)
+        windows = [(None, None)] + [(None, b) for b in ends] + [(a, None) for a in ends]
+        windows += [(a, b) for i, a in enumerate(ends) for b in ends[i + 1:]]
+        for k, (lo, hi) in enumerate(windows):
+            include_zero = k % 2 == 0
+            width = Q(1, 1000) if k % 5 == 0 else None
+            got = result.real_root_candidates(lo, hi, include_zero, width)
+            assert [(iv.lo, iv.hi) for iv in got] == \
+                reference_candidates(result, lo, hi, include_zero, width), (case, lo, hi)
+
+
 def test_certificate_keeps_only_candidates_inside_the_window():
     # the least positive root of E is about 0.99997: its unrefined isolating
     # interval (0, 143) overlaps (0, 0.9999] but its root does not lie there

@@ -121,18 +121,45 @@ def test_meta_report_forwards_its_deadline_to_the_boundary_strata(expire_after):
 
 
 def test_meta_report_isolates_each_polynomial_once(monkeypatch):
+    # keyed by coefficients: at delta 4 under rho the strata x = 0 and y = 0
+    # eliminate to the same gcd
     from wronski import realroots
 
     seen = []
     isolate = realroots._isolate
 
     def counted(p):
-        seen.append(p)
+        seen.append(tuple(p.coeffs))
         return isolate(p)
 
     monkeypatch.setattr(realroots, "_isolate", counted)
-    meta_report(3, "min", refine=0)
-    assert seen and len({id(p) for p in seen}) == len(seen)
+    for delta, height, refine in ((3, "min", 0), (4, "rho", 2)):
+        seen.clear()
+        meta_report(delta, height, refine=refine)
+        assert seen and len(set(seen)) == len(seen), (delta, height)
+
+
+def test_meta_report_min_positive_root_is_the_first_positive_candidate(monkeypatch):
+    # E = (2t - 1)(2t - 3) is isolated as (0, 3/4) and the exact point 3/2,
+    # t^4 - 7t^2 + 6t as (-4, -2) and the exact points 0, 1 and 2; the
+    # stripped power of t adds the candidate t = 0
+    from wronski import harness
+    from wronski.elimination import EliminationResult
+    from wronski.realroots import (IsolatingInterval, UnivariatePolynomial, isolate_real_roots,
+                                   min_positive_real_root)
+
+    # (E, index of its least positive root's interval, that interval, nonzero roots)
+    cases = ((UnivariatePolynomial.from_roots([Q(1, 2), Q(3, 2)]), 0, (Q(0), Q(3, 4)), 2),
+             (UnivariatePolynomial.from_roots([-3, 0, 1, 2]), 2, (Q(1), Q(1)), 3))
+    for E, k, (lo, hi), nonzero in cases:
+        assert isolate_real_roots(E)[k] == IsolatingInterval(lo, hi)
+        result = EliminationResult(E, E.degree(), 1, (), 0, (0, 0), ())
+        monkeypatch.setattr(harness, "eliminate_to_t", lambda *args, **kwargs: result)
+        res = meta_report(3, "rho").results[0]
+        expected = min_positive_real_root(E)
+        assert res["min_positive_root"] == expected.to_json()
+        assert res["real_roots_nonzero_t"] == nonzero
+        assert lo <= expected.lo and expected.hi <= hi and expected.width() <= Q(1, 10000)
 
 
 def test_meta_report_even_delta_warns():

@@ -231,6 +231,22 @@ def test_min_positive_ignores_zero_root():
     assert abs(mid - Fraction(3, 7)) < Fraction(1, 100)
 
 
+@isolation
+def test_min_positive_root_is_ranked_past_zero():
+    # a root at 0 and the exact roots 1 and 2; then a least positive root
+    # isolated by (0, 3/4), next to the exact root 3/2; then (-17/4, 0)
+    # ends at 0 and holds the negative root -2
+    assert min_positive_real_root(U.from_roots([-3, 0, 1, 2])) == \
+        realroots.IsolatingInterval(Fraction(1), Fraction(1))
+    for roots, hi in (([Fraction(1, 2), Fraction(3, 2)], Fraction(3, 4)),
+                      ([-2, Fraction(1, 2), Fraction(3, 2)], Fraction(17, 16))):
+        p = U.from_roots(roots)
+        assert realroots.IsolatingInterval(Fraction(0), hi) in isolate_real_roots(p)
+        iv = min_positive_real_root(p)
+        assert 0 <= iv.lo < Fraction(1, 2) < iv.hi <= hi and iv.width() <= Fraction(1, 10000)
+    assert min_positive_real_root(U.from_roots([-2, 0])) is None
+
+
 def test_root_bound_contains_all_roots():
     stream = Stream(0xB0)
     for _ in range(30):
