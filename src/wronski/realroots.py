@@ -22,8 +22,13 @@ of it shares one gcd, and each polynomial is isolated once.
 * Real roots.  One engine, Descartes-rule bisection (Collins-Akritas) on
   the squarefree part in integer arithmetic alone: x = 0 is taken apart,
   each half-line is mapped into (0, 1) by a power-of-two root bound, and
-  subintervals are split with 2^n q(x / 2) and Taylor shifts by 1.  It
-  returns isolating data (open dyadic intervals with one root each, dyadic
+  subintervals are split with 2^n q(x / 2) and Taylor shifts by 1.  Variation
+  counts are subadditive (Krandick and Mehlhorn 2006; Eigenwillig 2008): the
+  children's and a midpoint root add up to at most the node's v, a budget
+  that caps their tests.  A count is odd exactly when q(0) q(1) < 0, so a
+  test stops once parity settles it, and a right child is formed only when
+  its budget leaves it open.  The tree is that of full tests.  It returns
+  isolating data (open dyadic intervals with one root each, dyadic
   points for roots met at a midpoint), kept on the squarefree part, which is
   thus subdivided once; `count_real_roots` is its length and `sturm_count`
   counts (a, b] as rank(b) - rank(a), rank(x) being the number of roots at
@@ -55,7 +60,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import or_
 
 from .errors import DomainError, check_deadline
 
@@ -418,7 +425,7 @@ class UnivariatePolynomial:
     the input.
     """
 
-    __slots__ = ("coeffs", "_sf", "_roots", "_descartes")
+    __slots__ = ("coeffs", "_sf", "_roots", "_descartes", "_refined")
 
     def __init__(self, coeffs):
         cs = list(coeffs)
@@ -430,6 +437,7 @@ class UnivariatePolynomial:
         self._sf = None  # the squarefree part, once computed
         self._roots = None  # the isolating intervals, once computed
         self._descartes = None  # on a squarefree part: its Descartes data, once computed
+        self._refined = {}  # (interval, width): its refinement, once computed
 
     @classmethod
     def from_int_list(cls, ints):
@@ -555,26 +563,45 @@ def _sign_at(ints, x: Fraction) -> int:
 # Taylor shift by 1, which needs integer additions and shifts only.
 
 
-def _variations(signs) -> int:
-    nz = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(nz, nz[1:]) if a * b < 0)
+def _variations(coeffs, cap=None) -> int:
+    """Sign changes in coeffs, zeros skipped; counting stops once it reaches cap."""
+    v, last = 0, 0
+    for c in coeffs:
+        if c:
+            if last and (c < 0) != (last < 0):
+                v += 1
+                if v == cap:
+                    break
+            last = c
+    return v
 
 
 def _taylor1(a):
-    """a(x + 1) by repeated synthetic addition: O(n^2) integer additions."""
+    """a(x + 1) by synthetic addition, O(n^2); pass i fixes and yields degree i, then the top."""
     a = list(a)
     n = len(a) - 1
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
             a[j] += a[j + 1]
-    return a
+        yield a[i]
+    yield a[n]
+
+
+def _node_variations(q, cap) -> int:
+    """Sign variations of (x + 1)^n q(1 / (x + 1)), at most cap; once t are seen, t + 1."""
+    t = cap - 1 - ((cap + ((q[0] < 0) != (sum(q) < 0))) & 1)  # below cap, wrong parity
+    if t <= 0:
+        return t + 1
+    v = _variations(_taylor1(q[::-1]), t)
+    return v + (v == t)
 
 
 def _halve(a):
     """2^n a(x / 2), with the power of two common to all coefficients removed."""
     n = len(a) - 1
     out = [c << (n - i) for i, c in enumerate(a)]
-    v = min((c & -c).bit_length() for c in out if c) - 1
+    bits = reduce(or_, out)
+    v = (bits & -bits).bit_length() - 1
     return [c >> v for c in out] if v else out
 
 
@@ -593,28 +620,33 @@ def _root_bits(a) -> int:
 def _unit_roots(q, k: int):
     """Isolating data of the roots in (0, 1), scaled by 2^k, of a squarefree q.
 
-    q(0), q(1) are nonzero.  A node (q, j, e) stands for (j / 2^e, (j + 1) / 2^e).
+    q(0), q(1) are nonzero.  A node (q, j, e, v) is (j / 2^e, (j + 1) / 2^e), v its count.
     """
     def at(j, e):
         return Fraction(j << k, 1 << e)
 
     out = []
-    stack = [(q, 0, 0)]
+    stack = [(q, 0, 0, _node_variations(q, len(q) - 1))]
     while stack:
         check_deadline("root isolation")
-        q, j, e = stack.pop()
-        v = _variations(_taylor1(q[::-1]))
+        q, j, e, v = stack.pop()
         if v == 1:
             out.append((at(j, e), at(j + 1, e)))
         if v < 2:
             continue
         left = _halve(q)
-        right = _taylor1(left)
-        if right[0] == 0:
+        if sum(left) == 0:  # left(1) = right(0): a root at the midpoint
             out.append((at(2 * j + 1, e + 1),) * 2)
-            right = right[1:]
             left = ddiv_exact(left, [-1, 1])
-        stack.extend(((left, 2 * j, e + 1), (right, 2 * j + 1, e + 1)))
+            v -= 1
+        vl = _node_variations(left, v)
+        stack.append((left, 2 * j, e + 1, vl))
+        rest = v - vl  # the right child's budget; right(0) = left(1), sign right(1) = sign q(1)
+        if rest <= 2 and (sum(left) < 0) != (sum(q) < 0):  # odd: one root
+            out.append((at(2 * j + 1, e + 1), at(2 * j + 2, e + 1)))
+        elif rest >= 2:
+            right = list(_taylor1(left))
+            stack.append((right, 2 * j + 1, e + 1, _node_variations(right, rest)))
     return out
 
 
@@ -754,6 +786,9 @@ def _isolate(p: UnivariatePolynomial):
     intervals = []
     while len(q) > 1:
         bound = root_bound(UnivariatePolynomial(q))  # strict, so q(bound) != 0
+        # Mahler: sep(q) > 3^(1/2) n^(-(n+2)/2) |q|_2^(1-n) > tiny, as n < 2^n.bit_length()
+        n, norm_bits = len(q) - 1, sum(c * c for c in q).bit_length()  # |q|_2^2 < 2^norm_bits
+        tiny = Fraction(1, 1 << ((n.bit_length() * (n + 2) + norm_bits * (n - 1) + 1) // 2))
         breaks = sorted(set([-bound, Fraction(0), bound] + found_points))
         breaks = [x for x in breaks if -bound <= x <= bound]
         # each entry carries the ranks of both ends: one new rank per split
@@ -770,6 +805,8 @@ def _isolate(p: UnivariatePolynomial):
             if cnt == 1:
                 intervals.append((lo, hi))
                 continue
+            if hi - lo <= tiny:  # two roots of q closer than their separation
+                raise DomainError(f"isolation broken: {cnt} roots counted in ({lo}, {hi}]")
             mid = (lo + hi) / 2
             if _sign_at(q, mid) == 0:  # start again, with mid among the breaks
                 found_points.append(mid)
@@ -821,12 +858,15 @@ def _bisect(sf, lo, hi, done, what):
 
 def refine_interval(p: UnivariatePolynomial, interval: IsolatingInterval,
                     width: Fraction) -> IsolatingInterval:
-    """Shrink an isolating interval below the requested width by bisection."""
+    """Shrink an isolating interval below the requested width by bisection; p keeps it."""
     if interval.is_point:
         return interval
-    lo, hi = _bisect(_squarefree(p).coeffs, interval.lo, interval.hi,
-                     lambda lo, hi: hi - lo <= width, "interval refinement")
-    return IsolatingInterval(lo, hi, interval.multiplicity_free)
+    key = (interval, Fraction(width))
+    if key not in p._refined:
+        lo, hi = _bisect(_squarefree(p).coeffs, interval.lo, interval.hi,
+                         lambda lo, hi: hi - lo <= width, "interval refinement")
+        p._refined[key] = IsolatingInterval(lo, hi, interval.multiplicity_free)
+    return p._refined[key]
 
 
 def min_positive_real_root(p: UnivariatePolynomial, width=Fraction(1, 10000)):

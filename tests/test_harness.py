@@ -139,6 +139,24 @@ def test_meta_report_isolates_each_polynomial_once(monkeypatch):
         assert seen and len(set(seen)) == len(seen), (delta, height)
 
 
+def test_meta_report_refines_each_candidate_once(monkeypatch):
+    # the nonzero candidates and the positive ones share their refinements:
+    # at delta 5 under rho two intervals are refined, each once
+    from wronski import realroots
+
+    refined = []
+    bisect = realroots._bisect
+
+    def counted(sf, lo, hi, done, what):
+        if what == "interval refinement":
+            refined.append((lo, hi))
+        return bisect(sf, lo, hi, done, what)
+
+    monkeypatch.setattr(realroots, "_bisect", counted)
+    meta_report(5, "rho")
+    assert len(refined) == len(set(refined)) == 2
+
+
 def test_meta_report_min_positive_root_is_the_first_positive_candidate(monkeypatch):
     # E = (2t - 1)(2t - 3) is isolated as (0, 3/4) and the exact point 3/2,
     # t^4 - 7t^2 + 6t as (-4, -2) and the exact points 0, 1 and 2; the

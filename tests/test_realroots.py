@@ -545,3 +545,147 @@ def test_squarefree_part_reuses_the_gcd_cofactor(monkeypatch):
     p = U.from_roots([1, 1, 1, -2, -2, Fraction(1, 3)]) * U([1, 0, 1])
     assert p.squarefree_part() == U.from_roots([1, -2, Fraction(1, 3)]) * U([1, 0, 1])
     assert seen and len(seen) == len(set(seen))
+
+
+# -- the variation budget of the Descartes subdivision ----------------------------------
+
+
+def _full_variations(signs):
+    nz = [s for s in signs if s != 0]
+    return sum(1 for a, b in zip(nz, nz[1:]) if a * b < 0)
+
+
+def _full_taylor1(a):
+    a = list(a)
+    n = len(a) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def _full_halve(a):
+    n = len(a) - 1
+    out = [c << (n - i) for i, c in enumerate(a)]
+    v = min((c & -c).bit_length() for c in out if c) - 1
+    return [c >> v for c in out] if v else out
+
+
+def _full_tree_unit_roots(q, k):
+    """`realroots._unit_roots` with a full, uncapped test at every node: the reference."""
+    def at(j, e):
+        return Fraction(j << k, 1 << e)
+
+    out = []
+    stack = [(q, 0, 0)]
+    while stack:
+        q, j, e = stack.pop()
+        v = _full_variations(_full_taylor1(q[::-1]))
+        if v == 1:
+            out.append((at(j, e), at(j + 1, e)))
+        if v < 2:
+            continue
+        left = _full_halve(q)
+        right = _full_taylor1(left)
+        if right[0] == 0:
+            out.append((at(2 * j + 1, e + 1),) * 2)
+            right = right[1:]
+            left = realroots.ddiv_exact(left, [-1, 1])
+        stack.extend(((left, 2 * j, e + 1), (right, 2 * j + 1, e + 1)))
+    return out
+
+
+def _budget_family():
+    """Squarefree parts with roots at midpoints, clusters, complex pairs and a huge bound.
+
+    The roots at midpoints are dyadic, the clusters 10^-3 to 10^-12 wide, the
+    complex pairs 10^-1 to 10^-8 off the axis, and the Cauchy bound near 2^80.
+    """
+    stream = Stream(0xB4D6)
+
+    def rational(num, den):
+        return Fraction(stream.int_in(-num, num), stream.int_in(1, den))
+
+    family = []
+    for _ in range(12):
+        family.append(U.from_roots({Fraction(stream.int_in(-64, 64), 2 ** stream.int_in(0, 5))
+                                    for _ in range(stream.int_in(2, 10))}))
+        base, eps = rational(50, 9), Fraction(1, 10 ** stream.int_in(3, 12))
+        family.append(U.from_roots({base + i * eps for i in range(stream.int_in(2, 4))}
+                                   | {rational(99, 7) for _ in range(stream.int_in(0, 4))}))
+        p = U.from_roots({rational(30, 5) for _ in range(stream.int_in(1, 5))})
+        for _ in range(stream.int_in(1, 3)):  # (x - a)^2 + b^2 with b = 10^-e
+            a, b = rational(30, 5), Fraction(1, 10 ** stream.int_in(1, 8))
+            p = p * U([a * a + b * b, -2 * a, 1])
+        family.append(p)
+        family.append(U.from_roots({rational(9, 4) for _ in range(stream.int_in(1, 5))})
+                      * U([2 ** 80 + stream.int_in(1, 9), stream.int_in(-5, 5), 1]))
+    return [p.squarefree_part().coeffs for p in family]
+
+
+@isolation
+def test_budgeted_subdivision_matches_the_full_tree(monkeypatch):
+    family = _budget_family()
+    budgeted = [realroots._real_roots(q) for q in family]
+    assert sum(1 for roots in budgeted for lo, hi in roots if lo == hi != 0) > 20
+    monkeypatch.setattr(realroots, "_unit_roots", _full_tree_unit_roots)
+    assert [realroots._real_roots(q) for q in family] == budgeted
+
+
+@isolation
+def test_no_right_child_once_the_left_one_holds_every_variation(monkeypatch):
+    shifted = []
+    taylor1 = realroots._taylor1
+
+    def recorded(a):
+        shifted.append(list(a))
+        return taylor1(a)
+
+    monkeypatch.setattr(realroots, "_taylor1", recorded)
+    q = U.from_roots([Fraction(1, 5), Fraction(2, 7), Fraction(1, 3)]).coeffs  # all in (0, 1/2)
+    roots = realroots._unit_roots(q, 0)
+    assert len(roots) == 3 and all(hi <= Fraction(1, 2) for lo, hi in roots)
+    left = realroots._halve(q)
+    assert left[::-1] in shifted and left not in shifted  # tested, never shifted into a child
+
+
+@isolation
+def test_descartes_work_is_pinned(monkeypatch):
+    # node tests, right children formed and coefficients fixed by shifts: a
+    # change that expands the budgeted tree again fails here, not only on the benchmark
+    work = {"nodes": 0, "shifts": 0, "fixed": 0}
+    testing = []  # nonempty inside a node test, whose own shift forms no child
+    node_variations, taylor1 = realroots._node_variations, realroots._taylor1
+
+    def counted_node(q, cap):
+        work["nodes"] += 1
+        testing.append(q)
+        try:
+            return node_variations(q, cap)
+        finally:
+            testing.pop()
+
+    def fixed(coeffs):
+        for c in coeffs:
+            work["fixed"] += 1
+            yield c
+
+    def counted_shift(a):
+        work["shifts"] += not testing
+        return fixed(taylor1(a))
+
+    monkeypatch.setattr(realroots, "_node_variations", counted_node)
+    monkeypatch.setattr(realroots, "_taylor1", counted_shift)
+    for p in _isolation_family():
+        count_real_roots(p)
+    assert work == {"nodes": 311, "shifts": 78, "fixed": 1886}
+
+
+@isolation
+def test_a_miscounted_rank_breaks_isolation_instead_of_splitting_forever(monkeypatch):
+    # each root counted twice: the walk follows it below the root separation of q
+    rank = realroots._rank
+    monkeypatch.setattr(realroots, "_rank", lambda q, dq, roots, x: 2 * rank(q, dq, roots, x))
+    p = U([-2, 0, 1]) * U([-3, 0, 1])
+    with deadline(time.monotonic() + 1), pytest.raises(DomainError, match="isolation broken"):
+        isolate_real_roots(p)
