@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .errors import DegenerateInstanceError, DomainError, EliminationError
 from .polynomial import Polynomial
@@ -221,39 +221,81 @@ def _elim_step(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     return resultant(f, g, var)
 
 
-def _one_route(fs, pivot: int, shear):
+class _SharedWork:
+    """What the projection routes of one system share, each computed once.
+
+    * The sheared inputs, per shear.
+    * The x-projection of each pair under each shear.  Res_x(f_j, f_i) =
+      +-Res_x(f_i, f_j), and a sign changes no t-power, t-content,
+      squarefree part or gcd taken from it, so both orders share one; only
+      when neither polynomial involves x does `_elim_step` keep the first,
+      and then the order is part of the key.
+    * The squarefree part of each operand (`_compressed_squarefree`).
+    """
+
+    def __init__(self, fs):
+        self.fs = fs
+        self.sheared = {}
+        self.projected = {}
+        self.squarefree = {}
+
+    def projection(self, i: int, j: int, shear):
+        """The ProjectionFactor of Res_x(f_i, f_j) after the shear; None when it vanishes."""
+        if shear not in self.sheared:
+            self.sheared[shear] = _sheared(self.fs, shear)
+        f, g = self.sheared[shear][i], self.sheared[shear][j]
+        ordered = f.degree("x") <= 0 and g.degree("x") <= 0
+        key = ((i, j) if ordered else frozenset((i, j)), shear)
+        if key not in self.projected:
+            R = _elim_step(f, g, "x")
+            self.projected[key] = None if R.is_zero() else _projection_factor(R)
+        return self.projected[key]
+
+    def squarefree_part(self, ints):
+        """`_compressed_squarefree(ints)`, computed once per operand."""
+        key = tuple(ints)
+        if key not in self.squarefree:
+            self.squarefree[key] = _compressed_squarefree(ints)
+        return self.squarefree[key]
+
+
+def _sheared(fs, shear):
+    """fs after x <- x + a y, y <- b x + (1 + a b) y (determinant one) for shear (a, b)."""
+    a, b = shear
+    if (a, b) == (0, 0):
+        return fs
+    x = Polynomial.variable("x", ("x", "y"))
+    y = Polynomial.variable("y", ("x", "y"))
+    sub = {"x": x + a * y, "y": b * x + (1 + a * b) * y}
+    return tuple(p.substitute(sub) for p in fs)
+
+
+def _projection_factor(R: Polynomial) -> ProjectionFactor:
+    """R's primitive part, stripped of its power of t and its t-content, with both kept."""
+    P, k = _strip_t_power(R.primitive_part())
+    P, content = _t_content(P)
+    others = [v for v in P.vars if v != "t" and P.degree(v) > 0]
+    return ProjectionFactor(P, others[0] if others else None, k, content)
+
+
+def _one_route(work: _SharedWork, pivot: int, shear):
     """Run the x-then-y projection for one pivot/coordinate choice.
 
     Returns (factors, projections, raw_extra), with the route's raw projection
     the product of c^e over the primitive integer t-lists (c, e) of factors,
     or None when the route degenerates (zero resultant at either stage).
     """
-    f0 = fs[pivot]
-    g1, g2 = (fs[k] for k in range(3) if k != pivot)
-    a, b = shear
-    if (a, b) != (0, 0):
-        x = Polynomial.variable("x", ("x", "y"))
-        y = Polynomial.variable("y", ("x", "y"))
-        sub = {"x": x + a * y, "y": b * x + (1 + a * b) * y}
-        f0, g1, g2 = (p.substitute(sub) for p in (f0, g1, g2))
-    R1 = _elim_step(f0, g1, "x")
-    R2 = _elim_step(f0, g2, "x")
-    if R1.is_zero() or R2.is_zero():
-        return None
     projections = []
-    reduced = []
-    for R in (R1, R2):
-        P = R.primitive_part()
-        P, k = _strip_t_power(P)
-        P, content = _t_content(P)
-        others = [v for v in P.vars if v != "t" and P.degree(v) > 0]
-        projections.append(ProjectionFactor(P, others[0] if others else None, k,
-                                            content))
-        reduced.append(P)
-    P1, P2 = reduced
+    for k in range(3):
+        if k != pivot:
+            pr = work.projection(pivot, k, shear)
+            if pr is None:
+                return None
+            projections.append(pr)
+    pr1, pr2 = projections
+    P1, P2 = pr1.poly, pr2.poly
     d1 = max(P1.degree("y"), 0)
     d2 = max(P2.degree("y"), 0)
-    pr1, pr2 = projections
     raw_extra = d2 * (pr1.t_power + max(pr1.content.degree(), 0)) \
         + d1 * (pr2.t_power + max(pr2.content.degree(), 0))
     if d1 == 0 and d2 == 0:
@@ -278,13 +320,13 @@ def eliminate_to_t(system: MetaSystem, refine: int = 0, seed: int = 0) -> Elimin
     primary route's output.  A zero route is retried with seeded coordinate
     changes, at most eight times, before EliminationError is raised.
     """
-    fs = system.f
+    work = _SharedWork(system.f)
     stream = Stream(derive_seed(seed, 0xE11))
     transforms = [(stream.nonzero_int(3), stream.nonzero_int(3)) for _ in range(8)]
 
     primary = None
     for shear in [(0, 0)] + transforms:
-        out = _one_route(fs, 0, shear)
+        out = _one_route(work, 0, shear)
         if out is not None:
             primary = (0, shear, out)
             break
@@ -296,22 +338,22 @@ def eliminate_to_t(system: MetaSystem, refine: int = 0, seed: int = 0) -> Elimin
     if refine > 0:
         extra_routes = [(1, (0, 0)), (2, (0, 0))] + [(0, tr) for tr in transforms if tr != shear]
         for rp, rs in extra_routes[:refine]:
-            out = _one_route(fs, rp, rs)
+            out = _one_route(work, rp, rs)
             if out is not None:
                 extra_results.append(out)
 
     # the primary route's raw projection is prod c^e: degrees and powers of t add
     degree_raw = sum(e * (len(c) - 1) for c, e in factors) + raw_extra
     k3 = sum(e * _t_power(c) for c, e in factors)
-    sf = _compressed_squarefree(_squarefree_operand(factors))
+    sf = work.squarefree_part(_squarefree_operand(factors))
     refined_degrees = []
     for extra_factors, extra_projections, _ in extra_results:
         # a solution's t may be a root of this route's stripped contents only
         contents = [pr.content.coeffs for pr in extra_projections if pr.content.degree() > 0]
-        other_sf = _compressed_squarefree(_squarefree_operand(extra_factors, contents))
+        other_sf = work.squarefree_part(_squarefree_operand(extra_factors, contents))
         refined_degrees.append(len(other_sf) - 1)
         sf = _compressed_gcd(sf, other_sf)
-    E = UnivariatePolynomial(sf)
+    E = UnivariatePolynomial.from_squarefree(sf)  # a gcd of squarefree parts
     contents = [pr.content for pr in projections if pr.content.degree() > 0]
     t_power_removed = k3 + sum(pr.t_power for pr in projections)
     return EliminationResult(
@@ -446,13 +488,21 @@ def sheared_resultant(f: Polynomial, g: Polynomial, seed: int = 0):
 
 
 def _integer_grid(p: Polynomial):
-    """{(i, j): a_ij} with sum a_ij x^i y^j the primitive integer multiple of a plane curve."""
-    try:
-        q = p.drop_unused().with_variables(("x", "y"))
-    except ValueError as exc:
-        raise DomainError("a plane curve lives in x and y alone") from exc
-    c = q.content()
-    return {e: (a / c).numerator for e, a in q.terms.items()}
+    """{(i, j): a_ij} with sum a_ij x^i y^j the primitive integer multiple of a plane curve.
+
+    The multiple is den / num for den the lcm of the denominators and num the
+    gcd of the numerators; a third variable that occurs raises DomainError.
+    """
+    at = {v: i for i, v in enumerate(p.vars)}
+    ix, iy = at.pop("x", None), at.pop("y", None)
+    grid = {}
+    for e, a in p.terms.items():
+        if any(e[i] for i in at.values()):
+            raise DomainError("a plane curve lives in x and y alone")
+        grid[(0 if ix is None else e[ix], 0 if iy is None else e[iy])] = a
+    den = lcm(*(a.denominator for a in grid.values()))
+    num = gcd(*(a.numerator for a in grid.values()))
+    return {e: a.numerator * (den // a.denominator) // num for e, a in grid.items()}
 
 
 def _sheared_rows(grid, m: int, s: int):

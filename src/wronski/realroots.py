@@ -22,15 +22,17 @@ of it shares one gcd, and each polynomial is isolated once.
 * Real roots.  One engine, Descartes-rule bisection (Collins-Akritas) on
   the squarefree part in integer arithmetic alone: x = 0 is taken apart,
   each half-line is mapped into (0, 1) by a power-of-two root bound, and
-  subintervals are split with 2^n q(x / 2) and Taylor shifts by 1.  Variation
-  counts are subadditive (Krandick and Mehlhorn 2006; Eigenwillig 2008): the
-  children's and a midpoint root add up to at most the node's v, a budget
-  that caps their tests.  A count is odd exactly when q(0) q(1) < 0, so a
-  test stops once parity settles it, and a right child is formed only when
-  its budget leaves it open.  The tree is that of full tests.  It returns
-  isolating data (open dyadic intervals with one root each, dyadic
-  points for roots met at a midpoint), kept on the squarefree part, which is
-  thus subdivided once; `count_real_roots` is its length and `sturm_count`
+  the subdivision runs on integer Bernstein coefficients (Rouillier and
+  Zimmermann 2004; Mourrain, Rouillier and Roy 2005), read once per
+  half-line from one Taylor shift.  A node's sign variations are its
+  Descartes count, and one de Casteljau pass of integer additions and
+  shifts yields both halves of a node split; a root at a midpoint is
+  divided out of both in Bernstein form.  A node narrower than half of
+  Mahler's root separation bound cannot count two roots, so one that does
+  raises DomainError instead of splitting on.  It returns isolating data
+  (open dyadic intervals with one root each, dyadic points for roots met
+  at a midpoint), kept on the squarefree part, which is thus subdivided
+  once; `count_real_roots` is its length and `sturm_count`
   counts (a, b] as rank(b) - rank(a), rank(x) being the number of roots at
   or below x.  Isolation walks the bisection tree the Sturm chain once
   drove (breaks at the Cauchy bounds, 0 and exact roots found; a node split
@@ -48,12 +50,13 @@ of it shares one gcd, and each polynomial is isolated once.
   deadline (`errors.deadline`).
 
 The integer-list kernels `dmul` and `ddiv_exact` are schoolbook loops, and
-`dprem` is the pseudo-remainder of the resultant PRS.
+`dprem` is the pseudo-remainder of one integer polynomial by another.
 Integer quotients (`dquo_exact`) switch on size: `divmod` while the quotient
 or the divisor is below QUOTIENT_2ADIC_BITS, a 2-adic quotient (Jebelean)
 from there on, each checked; an inexact division raises ValueError.  They
-serve the exact divisions of the resultant PRS, and `dinterpolate` (Newton
-interpolation at integer nodes, equally checked) its interpolated form.
+serve the exact divisions of the resultant PRS at a single point, and
+`dinterpolate` (Newton interpolation at integer nodes, equally checked) its
+interpolated form.
 """
 
 from __future__ import annotations
@@ -61,8 +64,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
-from operator import or_
+from itertools import accumulate
+from math import comb, gcd, lcm
+from operator import add, ne, or_
 
 from .errors import DomainError, check_deadline
 
@@ -444,6 +448,13 @@ class UnivariatePolynomial:
         return cls(ints)
 
     @classmethod
+    def from_squarefree(cls, ints):
+        """A primitive squarefree list, positive leading coefficient: its own squarefree part."""
+        p = cls(ints)
+        p._sf = p
+        return p
+
+    @classmethod
     def from_roots(cls, roots):
         """prod (d x - n) over the roots n / d: the monic product times a positive integer."""
         out = [1]
@@ -508,11 +519,10 @@ class UnivariatePolynomial:
         if self._sf is None:
             ints = self.int_primitive()
             if len(ints) <= 1:
-                sf = UnivariatePolynomial(ints and [1])
+                sf = ints and [1]
             else:
-                sf = UnivariatePolynomial(_gcd_cofactor(ints, dderiv(ints))[1])
-            sf._sf = sf
-            self._sf = sf
+                sf = _gcd_cofactor(ints, dderiv(ints))[1]
+            self._sf = UnivariatePolynomial.from_squarefree(sf)
         return self._sf
 
     def is_squarefree(self) -> bool:
@@ -555,54 +565,73 @@ def _sign_at(ints, x: Fraction) -> int:
 
 # -- real roots: Descartes subdivision ----------------------------------------------
 #
-# Collins-Akritas bisection in the form of Rouillier and Zimmermann: the roots
-# of a squarefree polynomial q in (0, 1) are the positive roots of
-# (x + 1)^n q(1 / (x + 1)), whose coefficient sign variations bound their
-# number and equal it when that bound is 0 or 1 (the one- and two-circle
-# theorems).  Otherwise (0, 1) is split at 1/2 through 2^n q(x / 2) and its
-# Taylor shift by 1, which needs integer additions and shifts only.
+# Collins-Akritas bisection in Bernstein form (Rouillier and Zimmermann 2004;
+# Mourrain, Rouillier and Roy 2005).  For q = sum_j b_j C(n, j) x^j (1 - x)^(n - j)
+# of degree n, (x + 1)^n q(1 / (x + 1)) = sum_j b_j C(n, j) x^(n - j), so the
+# sign variations of b bound the number of roots of q in (0, 1) and equal it
+# when that bound is 0 or 1 (the one- and two-circle theorems).  Otherwise
+# (0, 1) is split at 1/2 by de Casteljau's algorithm, which gives the
+# coefficients of both halves from integer additions and shifts alone.
 
 
-def _variations(coeffs, cap=None) -> int:
-    """Sign changes in coeffs, zeros skipped; counting stops once it reaches cap."""
-    v, last = 0, 0
-    for c in coeffs:
-        if c:
-            if last and (c < 0) != (last < 0):
-                v += 1
-                if v == cap:
-                    break
-            last = c
-    return v
+def _variations(coeffs) -> int:
+    """Sign changes in coeffs, zeros skipped."""
+    signs = [c > 0 for c in coeffs if c]
+    return sum(map(ne, signs, signs[1:]))
 
 
 def _taylor1(a):
-    """a(x + 1) by synthetic addition, O(n^2); pass i fixes and yields degree i, then the top."""
-    a = list(a)
-    n = len(a) - 1
-    for i in range(n):
-        for j in range(n - 1, i - 1, -1):
-            a[j] += a[j + 1]
-        yield a[i]
-    yield a[n]
+    """a(x + 1) by synthetic addition, O(n^2) additions."""
+    d = a[::-1]
+    for m in range(len(d), 1, -1):
+        d[:m] = accumulate(d[:m])
+    return d[::-1]
 
 
-def _node_variations(q, cap) -> int:
-    """Sign variations of (x + 1)^n q(1 / (x + 1)), at most cap; once t are seen, t + 1."""
-    t = cap - 1 - ((cap + ((q[0] < 0) != (sum(q) < 0))) & 1)  # below cap, wrong parity
-    if t <= 0:
-        return t + 1
-    v = _variations(_taylor1(q[::-1]), t)
-    return v + (v == t)
+def _bernstein(q):
+    """Integer Bernstein coefficients of q on (0, 1), times L = lcm_j C(n, j)."""
+    n = len(q) - 1
+    scale = lcm(*(comb(n, j) for j in range(n + 1)))
+    return [c * (scale // comb(n, j)) for j, c in enumerate(reversed(_taylor1(q[::-1])))]
 
 
-def _halve(a):
-    """2^n a(x / 2), with the power of two common to all coefficients removed."""
-    n = len(a) - 1
-    out = [c << (n - i) for i, c in enumerate(a)]
-    bits = reduce(or_, out)
+def _split(b):
+    """Bernstein coefficients of both halves of (0, 1), each times a positive integer.
+
+    b is first stripped of the power of two common to its entries.  Then one
+    de Casteljau pass of pairwise sums: after k sums the ends are 2^k times
+    coefficient k of the left half and n - k of the right, so both are
+    shifted by n - k bits to a common 2^n.
+    """
+    b = _odd(b)
+    n = len(b) - 1
+    left, right = [b[0] << n], [b[n] << n]
+    for shift in range(n - 1, -1, -1):
+        b = list(map(add, b, b[1:]))
+        left.append(b[0] << shift)
+        right.append(b[-1] << shift)
+    return left, right[::-1]
+
+
+def _odd(b):
+    """b with the power of two common to its entries removed."""
+    bits = reduce(or_, b)
     v = (bits & -bits).bit_length() - 1
-    return [c >> v for c in out] if v else out
+    return [c >> v for c in b] if v else b
+
+
+def _deflated(left, right):
+    """Both halves with the root at 1/2 divided out, in Bernstein form of degree n - 1.
+
+    left(1) = right(0) = 0.  With M = lcm(1, ..., n): C(n, j) x^j (1 - x)^(n - j)
+    = n / (n - j) (1 - x) C(n - 1, j) x^j (1 - x)^(n - 1 - j), so left / (1 - x)
+    has coefficients left_j n / (n - j); likewise right / x has right_(j + 1) n / (j + 1).
+    Both are scaled by M / n.
+    """
+    n = len(left) - 1
+    top = lcm(*range(1, n + 1))
+    return ([c * (top // (n - j)) for j, c in enumerate(left[:-1])],
+            [c * (top // (j + 1)) for j, c in enumerate(right[1:])])
 
 
 def _root_bits(a) -> int:
@@ -617,36 +646,49 @@ def _root_bits(a) -> int:
                    for i in range(1, n + 1) if a[n - i])
 
 
+def _separation_bits(q) -> int:
+    """L with 2^-L below Mahler's bound on the root separation of a squarefree q.
+
+    Mahler: sep(q) > 3^(1/2) n^(-(n+2)/2) |q|_2^(1-n), and n < 2^n.bit_length()
+    and |q|_2^2 <= (n + 1) max |c|^2 < 2^norm_bits bound it from below by
+    integer bit lengths.
+    """
+    n = len(q) - 1
+    norm_bits = 2 * max(map(int.bit_length, q)) + (n + 1).bit_length()
+    return (n.bit_length() * (n + 2) + norm_bits * (n - 1) + 1) // 2
+
+
 def _unit_roots(q, k: int):
     """Isolating data of the roots in (0, 1), scaled by 2^k, of a squarefree q.
 
-    q(0), q(1) are nonzero.  A node (q, j, e, v) is (j / 2^e, (j + 1) / 2^e), v its count.
+    q(0), q(1) are nonzero.  A node (b, j, e, v) is (j / 2^e, (j + 1) / 2^e)
+    with Bernstein coefficients b and v their sign variations.  A node with
+    v >= 2 has two roots of q within 3^(1/2) times its width of each other
+    (the one- and two-circle theorems), so one narrower than half of q's
+    root separation that counts 2 raises DomainError instead of splitting on.
     """
     def at(j, e):
         return Fraction(j << k, 1 << e)
 
+    depth = _separation_bits(q) + 1
     out = []
-    stack = [(q, 0, 0, _node_variations(q, len(q) - 1))]
+    b = _bernstein(q)
+    stack = [(b, 0, 0, _variations(b))]
     while stack:
         check_deadline("root isolation")
-        q, j, e, v = stack.pop()
+        b, j, e, v = stack.pop()
         if v == 1:
             out.append((at(j, e), at(j + 1, e)))
         if v < 2:
             continue
-        left = _halve(q)
-        if sum(left) == 0:  # left(1) = right(0): a root at the midpoint
+        if e >= depth:
+            raise DomainError(f"isolation broken: {v} variations on ({at(j, e)}, {at(j + 1, e)})")
+        left, right = _split(b)
+        if left[-1] == 0:  # left(1) = right(0): a root at the midpoint
             out.append((at(2 * j + 1, e + 1),) * 2)
-            left = ddiv_exact(left, [-1, 1])
-            v -= 1
-        vl = _node_variations(left, v)
-        stack.append((left, 2 * j, e + 1, vl))
-        rest = v - vl  # the right child's budget; right(0) = left(1), sign right(1) = sign q(1)
-        if rest <= 2 and (sum(left) < 0) != (sum(q) < 0):  # odd: one root
-            out.append((at(2 * j + 1, e + 1), at(2 * j + 2, e + 1)))
-        elif rest >= 2:
-            right = list(_taylor1(left))
-            stack.append((right, 2 * j + 1, e + 1, _node_variations(right, rest)))
+            left, right = _deflated(left, right)
+        stack.append((left, 2 * j, e + 1, _variations(left)))
+        stack.append((right, 2 * j + 1, e + 1, _variations(right)))
     return out
 
 
@@ -786,9 +828,7 @@ def _isolate(p: UnivariatePolynomial):
     intervals = []
     while len(q) > 1:
         bound = root_bound(UnivariatePolynomial(q))  # strict, so q(bound) != 0
-        # Mahler: sep(q) > 3^(1/2) n^(-(n+2)/2) |q|_2^(1-n) > tiny, as n < 2^n.bit_length()
-        n, norm_bits = len(q) - 1, sum(c * c for c in q).bit_length()  # |q|_2^2 < 2^norm_bits
-        tiny = Fraction(1, 1 << ((n.bit_length() * (n + 2) + norm_bits * (n - 1) + 1) // 2))
+        tiny = Fraction(1, 1 << _separation_bits(q))  # below q's root separation
         breaks = sorted(set([-bound, Fraction(0), bound] + found_points))
         breaks = [x for x in breaks if -bound <= x <= bound]
         # each entry carries the ranks of both ends: one new rank per split

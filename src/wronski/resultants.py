@@ -58,13 +58,18 @@ is mapped to one integer by evaluating it at a single Kronecker point:
 
 The subresultant PRS computes the resultant of its integer inputs exactly
 over Z, whatever degree sequence it takes, so reading the balanced digits
-of its result (`_unpack`) returns Res.  Its pseudo-remainder is
-`realroots.dprem`; its exact divisions are `realroots.dquo_exact`, which
-switches to a 2-adic quotient, checked by multiplying back, for the
-Mbit-sized integers of the largest eliminations.
+of its result (`_unpack`) returns Res.  There is one PRS, over a batch of
+points (Collins's evaluation-point PRS run column-wise): each coefficient
+is a column of integer values, one per point, and each pseudo-remainder
+and checked exact division runs over whole columns.  Points whose
+remainder drops degree apart from the rest are split off and go on as a
+batch of their own, so each point follows its own degree sequence.  The
+Kronecker point above is a batch of one, whose exact divisions are
+`realroots.dquo_exact`: it switches to a 2-adic quotient, checked by
+multiplying back, for the Mbit-sized integers of the largest eliminations.
 
 Plane curves with constant leading y-coefficients take
-`interpolated_resultant` instead: the same PRS at mn + 1 integer abscissas,
+`interpolated_resultant` instead: one batch of mn + 1 integer abscissas,
 then exact interpolation (the degree bound is proved there).  A direct
 Sylvester-determinant evaluator is provided as an independent cross-check
 for small degrees.
@@ -73,40 +78,96 @@ for small degrees.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul, sub
 
 from .errors import DomainError, check_deadline
 from .polynomial import Polynomial
-from .realroots import dcompress, dexponent_gcd, dinterpolate, dprem, dquo_exact
+from .realroots import dcompress, dexponent_gcd, dinterpolate, dquo_exact
 
 
-def _prs_resultant(A, B) -> int:
-    """Subresultant PRS resultant of two integer lists of positive degree (0: common factor)."""
+def _prs_resultant(A, B):
+    """Res(A, B) at every point of a batch, by one subresultant PRS run column-wise.
+
+    Coefficient i of A is the column A[i] of its values at the points (likewise
+    B); both have positive degree and leading values nonzero at every point.
+    Each pseudo-remainder and exact division runs over whole columns.  Points
+    whose remainder drops degree apart from the rest go on as their own batch.
+    Returns the resultant at each point, 0 where A and B share a factor.
+    """
+    out = [0] * len(A[0])
     sign = 1
     if len(A) < len(B):
         if (len(A) - 1) * (len(B) - 1) % 2:
             sign = -sign
         A, B = B, A
-    g = h = 1
-    while True:
-        check_deadline("resultant computation")
-        dA, dB = len(A) - 1, len(B) - 1
-        delta = dA - dB
-        if dA % 2 and dB % 2:
-            sign = -sign
-        r = dprem(A, B)
-        if not r:
-            return 0
-        divisor = g * h ** delta
-        A, B = B, dquo_exact(r, divisor)
-        g = A[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = dquo_exact([g ** delta], h ** (delta - 1))[0]
-        if len(B) == 1:
-            break
-    dA = len(A) - 1
-    return sign * dquo_exact([B[0] ** dA], h ** (dA - 1))[0]
+    ones = [1] * len(out)
+    batches = [(range(len(out)), A, B, ones, ones, sign)]  # (points, A, B, g, h, sign)
+    while batches:
+        points, A, B, g, h, sign = batches.pop()
+        while len(B) > 1:
+            check_deadline("resultant computation")
+            dA, dB = len(A) - 1, len(B) - 1
+            delta = dA - dB
+            if dA % 2 and dB % 2:
+                sign = -sign
+            divisor = [x * y ** delta for x, y in zip(g, h)]
+            A, B, g = B, _divide(_prem(A, B), divisor), B[-1]
+            if delta == 1:
+                h = g
+            elif delta > 1:
+                h = _divide([[x ** delta for x in g]], [y ** (delta - 1) for y in h])[0]
+            if not all(B[-1]):  # some remainders drop degree: regroup the points by it
+                batches.extend(_regrouped(points, A, B, g, h, sign))
+                break
+        else:
+            dA = len(A) - 1
+            top = _divide([[b ** dA for b in B[0]]], [y ** (dA - 1) for y in h])[0]
+            for p, x in zip(points, top):
+                out[p] = sign * x
+    return out
+
+
+def _prem(A, B):
+    """lc(B)^(dA - dB + 1) A mod B at every point: dB columns, vanishing top values kept."""
+    lb, low = B[-1], B[:-1]
+    r = list(A)
+    for _ in range(len(A) - len(B) + 1):
+        lead = r.pop()  # cancelled by lead * lb
+        shift = len(r) - len(low)
+        r[:shift] = [list(map(mul, col, lb)) for col in r[:shift]]
+        r[shift:] = [list(map(sub, map(mul, col, lb), map(mul, lead, bcol)))
+                     for col, bcol in zip(r[shift:], low)]
+    return r
+
+
+def _divide(r, d):
+    """The columns of r divided by the column d, each division checked exact (ValueError).
+
+    A batch of one takes `realroots.dquo_exact` on all of r at once, so Mbit
+    operands share one 2-adic inverse.
+    """
+    if len(d) == 1:
+        return [[q] for q in dquo_exact([col[0] for col in r], d[0])]
+    out = []
+    for col in r:
+        q, rem = zip(*map(divmod, col, d))
+        if any(rem):
+            raise ValueError("not an exact division")
+        out.append(list(q))
+    return out
+
+
+def _regrouped(points, A, B, g, h, sign):
+    """One batch per degree that B takes at the points; points where B vanishes are dropped."""
+    groups = {}
+    for i in range(len(points)):
+        deg = next((k for k in range(len(B) - 1, -1, -1) if B[k][i]), -1)
+        if deg >= 0:
+            groups.setdefault(deg, []).append(i)
+    for deg, idx in groups.items():
+        A1, B1, (g1, h1) = ([[col[i] for i in idx] for col in cols]
+                            for cols in (A, B[:deg + 1], (g, h)))
+        yield [points[i] for i in idx], A1, B1, g1, h1, sign
 
 
 def interpolated_resultant(A, B):
@@ -117,7 +178,7 @@ def interpolated_resultant(A, B):
     row A_m a nonzero constant (likewise B, n >= 1), as for plane curves of
     total degree m and n with a constant leading y-coefficient.  The
     resultant u(x) is evaluated at the mn + 1 integer abscissas 0, 1, -1,
-    2, -2, ..., each by one PRS on plain integers, and interpolated exactly
+    2, -2, ..., by one PRS over that batch of points, and interpolated exactly
     (`realroots.dinterpolate`).  Both facts this rests on:
 
     * Specialisation is exact.  Res_y(A, B) is the determinant of the
@@ -141,16 +202,15 @@ def interpolated_resultant(A, B):
     """
     m, n = len(A) - 1, len(B) - 1
     xs = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(m * n + 1)]
-    values = [_prs_resultant([_value_at(row, x) for row in A], [_value_at(row, x) for row in B])
-              for x in xs]
+    values = _prs_resultant([_values_at(row, xs) for row in A], [_values_at(row, xs) for row in B])
     return dinterpolate(xs, values)
 
 
-def _value_at(a, x: int) -> int:
-    """a(x) for an ascending integer list a (0 for the empty list)."""
-    acc = 0
+def _values_at(a, xs):
+    """[a(x) for x in xs] for an ascending integer list a (zeros for the empty list)."""
+    acc = [0] * len(xs)
     for c in reversed(a):
-        acc = acc * x + c
+        acc = [v * x + c for v, x in zip(acc, xs)]
     return acc
 
 
@@ -329,7 +389,8 @@ def _one_point_resultant(A, B) -> Polynomial:
     if not (A[-1] and B[-1]):
         raise ArithmeticError("a leading coefficient vanishes at the Kronecker point")
     terms = {}
-    for j, x in enumerate(_unpack(_prs_resultant(A, B), size, nbytes)):
+    res = _prs_resultant([[c] for c in A], [[c] for c in B])[0]
+    for j, x in enumerate(_unpack(res, size, nbytes)):
         if x:
             e = list(offset)
             for v, _, k, _, slots, stride in live:

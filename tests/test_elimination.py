@@ -342,10 +342,11 @@ def test_delta6_elimination_pinned():
     assert zlib.crc32(payload.encode()) == 2862021745
 
 
-@pytest.mark.parametrize("height, slots", [("rho", 2768), ("min", 1598)])
+@pytest.mark.parametrize("height, slots", [("rho", 1384), ("min", 799)])
 def test_x_stage_images_are_graded(monkeypatch, height, slots):
-    # the summed slot counts of the x-resultant images at delta 4; exponent
-    # lattices alone gave 13,884 (rho) and 4,820 (min)
+    # the summed slot counts of the x-resultant images at delta 4, one image
+    # per pair of the three routes; exponent lattices alone gave 13,884 (rho)
+    # and 4,820 (min) when each pair's image was formed twice
     from wronski import elimination, resultants
     from wronski.harness import resolve_height
 
@@ -367,8 +368,31 @@ def test_x_stage_images_are_graded(monkeypatch, height, slots):
     monkeypatch.setattr(resultants, "_unpack", recorded)
     monkeypatch.setattr(elimination, "resultant", x_resultant)
     eliminate_to_t(meta_system(4, resolve_height(height, 4)), refine=2)
-    assert len(sizes) == 6 and sum(sizes) == slots
-    assert 3 * slots <= {"rho": 13884, "min": 4820}[height]
+    assert len(sizes) == 3 and sum(sizes) == slots
+    assert 6 * slots <= {"rho": 13884, "min": 4820}[height]
+
+
+def test_routes_share_projections_and_squarefree_parts(monkeypatch):
+    # at delta 4 routes 0 and 2 square-free one operand, so two passes serve
+    # three routes, and E comes back as its own squarefree part
+    passes = []
+    squarefree = elimination._compressed_squarefree
+
+    def counted(ints):
+        passes.append(len(ints) - 1)
+        return squarefree(ints)
+
+    monkeypatch.setattr(elimination, "_compressed_squarefree", counted)
+    result = eliminate_to_t(meta_system(4, HeightFunction.rho(4)), refine=2)
+    assert passes == [186, 282] and result.refined_degrees == (144, 96)
+    assert result.E.squarefree_part() is result.E
+    # Res_x(f_j, f_i) = +-Res_x(f_i, f_j): one projection for both orders,
+    # except for two x-free polynomials, where the pivot's own is kept
+    t, x, y = (Polynomial.variable(v, ("t", "x", "y")) for v in ("t", "x", "y"))
+    work = elimination._SharedWork((y - t, y + 1, x * x - y))
+    assert work.projection(0, 2, (0, 0)) is work.projection(2, 0, (0, 0))
+    assert work.projection(0, 1, (0, 0)).poly == y - t
+    assert work.projection(1, 0, (0, 0)).poly == y + 1
 
 
 def test_candidates_keep_only_roots_inside_the_window():

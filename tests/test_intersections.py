@@ -2,8 +2,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from wronski.elimination import count_real_intersections, sheared_resultant
-from wronski.errors import DegenerateInstanceError, EliminationError
+from wronski.elimination import _integer_grid, count_real_intersections, sheared_resultant
+from wronski.errors import DegenerateInstanceError, DomainError, EliminationError
 from wronski.heights import HeightFunction
 from wronski.lattice import hexagon_example
 from wronski.plotting import exact_intersection_markers
@@ -183,3 +183,38 @@ def test_sheared_resultant_matches_the_substitution_oracle():
             scale = Q(rows[-1][0]) / expected[-1][0]
             assert rows == [[scale * c for c in row] for row in expected]
         done += 1
+
+
+def _polynomial_integer_grid(p):
+    """The integer grid by Polynomial operations, as it was computed before: the oracle."""
+    try:
+        q = p.drop_unused().with_variables(XY)
+    except ValueError as exc:
+        raise DomainError("a plane curve lives in x and y alone") from exc
+    c = q.content()
+    return {e: (a / c).numerator for e, a in q.terms.items()}
+
+
+def test_integer_grid_matches_the_polynomial_oracle():
+    # rational curves in x, y, one of them or with a third variable that does
+    # not occur; one that does raises on both sides
+    stream = Stream(0x96D)
+    orders = [("x", "y"), ("y", "x"), ("t", "x", "y"), ("x",), ("y", "s")]
+    for trial in range(200):
+        variables = orders[trial % len(orders)]
+        terms = {}
+        for _ in range(stream.int_in(1, 12)):
+            e = tuple(stream.int_in(0, 4) if v in XY else 0 for v in variables)
+            den = stream.int_in(1, 40)
+            terms[e] = Q(stream.int_in(-10 ** 6, 10 ** 6), den) * stream.int_in(1, 30) ** 3
+        p = Polynomial(variables, terms)
+        if p.is_zero():
+            continue
+        assert _integer_grid(p) == _polynomial_integer_grid(p), trial
+        if any(v not in XY for v in variables):
+            e = next(iter(p.terms))
+            third = Polynomial(variables, {**p.terms, tuple(k + (v not in XY) for k, v in
+                                                           zip(e, variables)): 1})
+            for grid in (_integer_grid, _polynomial_integer_grid):
+                with pytest.raises(DomainError, match="x and y alone"):
+                    grid(third)

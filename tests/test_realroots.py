@@ -547,7 +547,7 @@ def test_squarefree_part_reuses_the_gcd_cofactor(monkeypatch):
     assert seen and len(seen) == len(set(seen))
 
 
-# -- the variation budget of the Descartes subdivision ----------------------------------
+# -- the Bernstein subdivision against the full tree of the power basis -----------------
 
 
 def _full_variations(signs):
@@ -571,8 +571,11 @@ def _full_halve(a):
     return [c >> v for c in out] if v else out
 
 
-def _full_tree_unit_roots(q, k):
-    """`realroots._unit_roots` with a full, uncapped test at every node: the reference."""
+def _full_tree_unit_roots(q, k, split=None):
+    """`realroots._unit_roots` in the power basis, a full test at every node: the reference.
+
+    The variation count of each node split (v >= 2) is appended to split.
+    """
     def at(j, e):
         return Fraction(j << k, 1 << e)
 
@@ -585,6 +588,8 @@ def _full_tree_unit_roots(q, k):
             out.append((at(j, e), at(j + 1, e)))
         if v < 2:
             continue
+        if split is not None:
+            split.append(v)
         left = _full_halve(q)
         right = _full_taylor1(left)
         if right[0] == 0:
@@ -633,52 +638,61 @@ def test_budgeted_subdivision_matches_the_full_tree(monkeypatch):
 
 
 @isolation
-def test_no_right_child_once_the_left_one_holds_every_variation(monkeypatch):
-    shifted = []
-    taylor1 = realroots._taylor1
+def test_one_de_casteljau_pass_per_node_split(monkeypatch):
+    # the Bernstein subdivision splits exactly the nodes of the full tree with
+    # v >= 2, each by one pass that yields both children, and no node with v <= 1
+    family = [p.squarefree_part().coeffs for p in _isolation_family()]
+    passes = []
+    split = realroots._split
 
-    def recorded(a):
-        shifted.append(list(a))
-        return taylor1(a)
+    def counted(b):
+        passes.append(realroots._variations(b))
+        return split(b)
 
-    monkeypatch.setattr(realroots, "_taylor1", recorded)
-    q = U.from_roots([Fraction(1, 5), Fraction(2, 7), Fraction(1, 3)]).coeffs  # all in (0, 1/2)
-    roots = realroots._unit_roots(q, 0)
-    assert len(roots) == 3 and all(hi <= Fraction(1, 2) for lo, hi in roots)
-    left = realroots._halve(q)
-    assert left[::-1] in shifted and left not in shifted  # tested, never shifted into a child
+    monkeypatch.setattr(realroots, "_split", counted)
+    for q in family:
+        realroots._real_roots(q)
+    reference = []
+    monkeypatch.setattr(realroots, "_unit_roots",
+                        lambda q, k: _full_tree_unit_roots(q, k, reference))
+    for q in family:
+        realroots._real_roots(q)
+    assert sorted(passes) == sorted(reference) and len(passes) == 201
+    assert min(passes) >= 2
 
 
 @isolation
-def test_descartes_work_is_pinned(monkeypatch):
-    # node tests, right children formed and coefficients fixed by shifts: a
-    # change that expands the budgeted tree again fails here, not only on the benchmark
-    work = {"nodes": 0, "shifts": 0, "fixed": 0}
-    testing = []  # nonempty inside a node test, whose own shift forms no child
-    node_variations, taylor1 = realroots._node_variations, realroots._taylor1
+def test_no_split_of_a_node_with_at_most_one_variation(monkeypatch):
+    # every root in (0, 1/2): the right half of the top node counts 0 and is
+    # never split, nor is any node holding a single root
+    split = realroots._split
+    q = U.from_roots([Fraction(1, 5), Fraction(2, 7), Fraction(1, 3)]).coeffs
+    top_right = split(realroots._bernstein(q))[1]
+    passes = []
 
-    def counted_node(q, cap):
-        work["nodes"] += 1
-        testing.append(q)
-        try:
-            return node_variations(q, cap)
-        finally:
-            testing.pop()
+    def counted(b):
+        passes.append((list(b), realroots._variations(b)))
+        return split(b)
 
-    def fixed(coeffs):
-        for c in coeffs:
-            work["fixed"] += 1
-            yield c
+    monkeypatch.setattr(realroots, "_split", counted)
+    roots = realroots._unit_roots(q, 0)
+    assert len(roots) == 3 and all(hi <= Fraction(1, 2) for lo, hi in roots)
+    assert realroots._variations(top_right) == 0
+    assert all(b != top_right for b, v in passes[1:])
+    assert all(v >= 2 for b, v in passes)
+    reference = []
+    _full_tree_unit_roots(q, 0, reference)
+    assert sorted(v for b, v in passes) == sorted(reference)
 
-    def counted_shift(a):
-        work["shifts"] += not testing
-        return fixed(taylor1(a))
 
-    monkeypatch.setattr(realroots, "_node_variations", counted_node)
-    monkeypatch.setattr(realroots, "_taylor1", counted_shift)
-    for p in _isolation_family():
-        count_real_roots(p)
-    assert work == {"nodes": 311, "shifts": 78, "fixed": 1886}
+def test_a_miscounted_variation_breaks_the_subdivision_instead_of_splitting_forever(monkeypatch):
+    # each node counted one variation high: a node holding one root is split
+    # below the root separation of q, where its count cannot be 2
+    variations = realroots._variations
+    monkeypatch.setattr(realroots, "_variations", lambda b: variations(b) + 1)
+    q = U.from_roots([Fraction(1, 3), Fraction(2, 3), -5]).coeffs
+    with deadline(time.monotonic() + 1), pytest.raises(DomainError, match="isolation broken"):
+        realroots._real_roots(q)
 
 
 @isolation

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from wronski import deadline, resultants
+from wronski import deadline, realroots, resultants
 from wronski.errors import DomainError
 from wronski.polynomial import Polynomial
+from wronski.realroots import dprem, dquo_exact
 from wronski.resultants import resultant, resultant_factors, sylvester_matrix, sylvester_resultant
 from wronski.rng import Stream
 
@@ -345,6 +346,100 @@ def test_one_point_refuses_a_vanishing_leading_coefficient(monkeypatch):
     TY = ("t", "y")
     with pytest.raises(ArithmeticError):
         resultant(Polynomial(TY, {(1, 1): 1, (0, 0): 1}), Polynomial(TY, {(0, 2): 1, (1, 0): 1}), "y")
+
+
+# -- the batched PRS ----------------------------------------------------------------------
+
+
+def _scalar_prs_resultant(A, B):
+    """Res(A, B) of two integer lists of positive degree by one scalar subresultant PRS.
+
+    The routine the batched `resultants._prs_resultant` replaced: the oracle.
+    """
+    sign = 1
+    if len(A) < len(B):
+        if (len(A) - 1) * (len(B) - 1) % 2:
+            sign = -sign
+        A, B = B, A
+    g = h = 1
+    while True:
+        dA, dB = len(A) - 1, len(B) - 1
+        delta = dA - dB
+        if dA % 2 and dB % 2:
+            sign = -sign
+        r = dprem(A, B)
+        if not r:
+            return 0
+        A, B = B, dquo_exact(r, g * h ** delta)
+        g = A[-1]
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = dquo_exact([g ** delta], h ** (delta - 1))[0]
+        if len(B) == 1:
+            break
+    dA = len(A) - 1
+    return sign * dquo_exact([B[0] ** dA], h ** (dA - 1))[0]
+
+
+def _columns(rows):
+    """The per-point coefficient lists as columns, coefficient i of every point in one."""
+    return [list(col) for col in zip(*rows)]
+
+
+def test_batched_prs_matches_the_scalar_oracle(monkeypatch):
+    # random points, and planted ones: with A = y^3 + y + 1, B = y^2 + 1 the
+    # first remainder drops from degree 1 to 0; with A = y^4 + 3y + 2,
+    # B = y^3 + 1 from degree 2 to 1; with A = y^3 + y, B = y^2 + 1 it is 0
+    planted = {(3, 2): [([1, 1, 0, 1], [1, 0, 1]), ([0, 1, 0, 1], [1, 0, 1])],
+               (4, 3): [([2, 3, 0, 0, 1], [1, 0, 0, 1])]}
+    rng = random.Random(0xBA7C)
+    split = []
+    regrouped = resultants._regrouped
+
+    def recorded(points, *rest):
+        split.append(len(points))
+        return regrouped(points, *rest)
+
+    monkeypatch.setattr(resultants, "_regrouped", recorded)
+    shapes = list(planted) * 6 + [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(48)]
+    for trial, (dA, dB) in enumerate(shapes):
+        bits = rng.choice([3, 40, 300])
+        rows = []
+        for _ in range(rng.randint(1, 12)):
+            a = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(dA + 1)]
+            b = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(dB + 1)]
+            a[-1], b[-1] = a[-1] or 1, b[-1] or -1
+            rows.append((a, b))
+        for a, b in planted.get((dA, dB), ()):
+            rows.insert(rng.randint(0, len(rows)), (a, b))
+        got = resultants._prs_resultant(_columns([a for a, _ in rows]),
+                                        _columns([b for _, b in rows]))
+        assert got == [_scalar_prs_resultant(a, b) for a, b in rows], trial
+    assert len(split) >= 12  # each planted batch split at least once
+    assert [_scalar_prs_resultant(a, b) for a, b in planted[(3, 2)]][1] == 0
+
+
+def test_a_batch_of_one_keeps_the_two_adic_quotient(monkeypatch):
+    # the cut lowered to 64 bits: the PRS's exact divisions of a 300-bit
+    # batch of one are 2-adic, one inverse per division of the whole remainder
+    seen = []
+    inverse = realroots._inverse_2adic
+
+    def recorded(b, nbits):
+        seen.append(nbits)
+        return inverse(b, nbits)
+
+    monkeypatch.setattr(realroots, "QUOTIENT_2ADIC_BITS", 64)
+    monkeypatch.setattr(realroots, "_inverse_2adic", recorded)
+    rng = random.Random(0x2AD1C)
+    for dA, dB in ((5, 4), (4, 4), (3, 6)):
+        a = [rng.getrandbits(300) - 2 ** 299 for _ in range(dA + 1)]
+        b = [rng.getrandbits(300) - 2 ** 299 for _ in range(dB + 1)]
+        expected = _scalar_prs_resultant(a, b)
+        seen.clear()
+        assert resultants._prs_resultant([[c] for c in a], [[c] for c in b]) == [expected]
+        assert seen
 
 
 # -- the plane-curve resultant by evaluation and interpolation ------------------------
