@@ -5,14 +5,16 @@ isolating intervals once computed, so every count, isolation and refinement
 of it shares one gcd, and each polynomial is isolated once.
 
 * Gcd.  `dgcd` is the modular gcd (Brown 1971; Collins): Euclid in F_p[x]
-  for word-size primes p, images of least degree scaled to leading
+  for primes p below 2^30, images of least degree scaled to leading
   coefficient gcd(lc a, lc b) and combined by the Chinese remainder theorem.
   It is exact because nothing is returned before exact division over Z has
   shown that the primitive candidate divides both operands; a candidate of
   the least image degree that does is the gcd (see "gcds modulo primes"
-  below).  The primes are CERTIFICATE_PRIMES, then the primes below 2^61 - 1
-  in descending order, found on demand by deterministic Miller-Rabin;
-  nothing is computed at import.
+  below).  The primes are CERTIFICATE_PRIMES, then the primes below them in
+  descending order, found on demand by deterministic Miller-Rabin; nothing
+  is computed at import.  Below 2^30 a residue is one CPython digit and a
+  product of two at most two, so Euclid runs on the smallest big integers;
+  a gcd with wider coefficients simply takes more primes.
 * Squarefree part.  `squarefree_part` is the cofactor of the modular gcd
   of the primitive polynomial and its derivative, and `is_squarefree`
   compares its degree.  The first prime not dividing the leading coefficient
@@ -294,9 +296,10 @@ def dquo_exact(a, d: int):
 #   gcd(lc a, lc b), a unit mod each p used), so G is the gcd.  No bound on
 #   coefficients is used: a wrong candidate is simply not accepted, and once
 #   the primes are lucky and their product exceeds twice the scaled gcd's
-#   coefficients the candidate is right, so the loop ends.
+#   coefficients the candidate is right, so the loop ends (the primes below
+#   2^30 multiply to about 2^(1.5 * 10^9)).
 
-CERTIFICATE_PRIMES = (2 ** 63 - 25, 2 ** 63 - 165, 2 ** 62 - 57, 2 ** 62 - 87, 2 ** 61 - 1)
+CERTIFICATE_PRIMES = (2 ** 30 - 35, 2 ** 30 - 41, 2 ** 30 - 83, 2 ** 30 - 101, 2 ** 30 - 105)
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -326,9 +329,9 @@ def _is_prime(n: int) -> bool:
 
 
 def _primes():
-    """CERTIFICATE_PRIMES, then the primes below 2^61 - 1 in descending order."""
+    """The primes below 2^30 in descending order: CERTIFICATE_PRIMES, then the rest."""
     yield from CERTIFICATE_PRIMES
-    n = 2 ** 61 - 3
+    n = CERTIFICATE_PRIMES[-1] - 2
     while True:
         if _is_prime(n):
             yield n

@@ -23,20 +23,23 @@ dB >= 1 in y) is a polynomial in the remaining variables u_1, ..., u_n, and
 is mapped to one integer by evaluating it at a single Kronecker point:
 
 * Grading.  Each variable u = u_v is first graded, so that the image is
-  only as large as the support.  For any c >= 0, two identities hold:
-  Res(A(u^c y), B(u^c y)) = u^(c dA dB) Res(A, B) (scaling y by L gives
-  Res(f(L y), g(L y)) = L^(dA dB) Res(f, g)), and Res(u^m A, B) =
-  u^(m dB) Res(A, B) (the resultant is homogeneous of degree dB in the
-  coefficients of A).  So the scaled inputs, coefficient i multiplied by
-  u^(c i), are stripped of their lowest u-exponents m_A and m_B, and u is
-  compressed to s = u^k with k the gcd of every remaining exponent of both
-  (an injective ring map that commutes with the resultant).  Then
-  Res(A, B) = u^(dB m_A + dA m_B - c dA dB) Res_s(A', B'), exactly for
-  every c: the choice of c changes only the size of the image.  Since c i
-  cancels in the exponent gaps inside one coefficient, k divides their gcd
-  K; for K = 1 (dense coefficients) c = 0, otherwise every c < K is tried
-  (every c up to the largest exponent when each coefficient is a monomial)
-  and the one with the fewest slots kept.
+  only as large as the support.  For every integer c, negative too, two
+  identities hold in the Laurent ring: Res(A(u^c y), B(u^c y)) =
+  u^(c dA dB) Res(A, B) (scaling y by L gives Res(f(L y), g(L y)) =
+  L^(dA dB) Res(f, g)), and Res(u^m A, B) = u^(m dB) Res(A, B) (the
+  resultant is homogeneous of degree dB in the coefficients of A).  So the
+  scaled inputs, coefficient i multiplied by u^(c i), are stripped of their
+  lowest u-exponents m_A and m_B (negative when c is), which makes both
+  polynomials again, and u is compressed to s = u^k with k the gcd of every
+  remaining exponent of both (an injective ring map that commutes with the
+  resultant).  Then Res(A, B) = u^(dB m_A + dA m_B - c dA dB) Res_s(A', B'),
+  exactly for every c: the choice of c changes only the size of the image.
+  Since c i cancels in the exponent gaps inside one coefficient, k divides
+  their gcd K.  `_grading` takes the c with the fewest slots over all
+  integers without a scan: dB top_A + dA top_B is convex in c, its least
+  point is read off the hull edges of the exponents, and k depends only on
+  c modulo a period T dividing K, so the two points of each class mod T
+  around that least point are the only ones tried.
 * Degrees.  Every term of the Sylvester determinant is a product of dB
   coefficients of A' and dA of B', so deg_s Res_s(A', B') < D_v =
   (dB top_A + dA top_B) / k + 1, with top_A and top_B the largest
@@ -44,13 +47,17 @@ is mapped to one integer by evaluating it at a single Kronecker point:
   s_3 -> 2^(W D_1 D_2), ... sends the monomials of such polynomials to
   distinct powers 2^(W m), m < D_1 ... D_n.
 * Coefficients.  Multiplying by monomials keeps every coefficient and so
-  every torus norm.  On the torus |u_v| = 1, Hadamard's inequality on the
-  Sylvester rows gives |Res| <= (sum_i ||A_i||_1^2)^(dB/2)
-  (sum_j ||B_j||_1^2)^(dA/2), and each coefficient of Res, an average of
-  Res u^-e over the torus, is bounded by the same number.  W is chosen so
-  that this bound is below 2^(W-1) (and rounded up to whole bytes), so the
-  image of Res has balanced base-2^W digits that are exactly its
-  coefficients; the bound also covers every input coefficient.
+  every torus norm.  On the torus |u_v| = 1, Hadamard's inequality bounds
+  |Res| by the product of the Euclidean norms of the Sylvester rows, or of
+  its columns, and each entry A_i by ||A_i||_1: the rows give
+  (sum_i ||A_i||_1^2)^(dB/2) (sum_j ||B_j||_1^2)^(dA/2), and column p the
+  square root of the sum of ||A_j||_1^2 over j in [p - dB + 1, p] and of
+  ||B_j||_1^2 over j in [p - dA + 1, p].  Each coefficient of Res, an
+  average of Res u^-e over the torus, is bounded by the smaller product.
+  W is chosen so that this bound is below 2^(W-1) (and rounded up to whole
+  bytes), so the image of Res has balanced base-2^W digits that are exactly
+  its coefficients; the bound also covers every input coefficient
+  (`_slot_bytes`).
 * The map is a ring homomorphism, and the leading coefficients A'_dA and
   B'_dB are nonzero polynomials of degrees below D_v with coefficients below
   2^(W-1), so their images are nonzero (checked all the same): the
@@ -77,6 +84,7 @@ for small degrees.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import gcd
 from operator import mul, sub
 
@@ -288,29 +296,104 @@ def _coset_factors(A, B):
     return factors
 
 
-def _grading(spans, v, gap, top, dA, dB):
+def _grading(spans, v, gap, dA, dB):
     """(D, c, k, (m_A, m_B)) for the variable u_v: the scale c with the fewest slots D.
 
     spans holds, per input, (i, lowest, highest exponents) of each nonzero
-    coefficient; gap is the gcd of the u_v-exponent gaps inside single
-    coefficients, which every usable k divides, and top the largest
-    u_v-exponent.  After y -> u_v^c y, the inputs' lowest u_v-exponents m_A,
-    m_B are stripped and u_v^k is packed (see the module docstring); k = 0
-    when stripping leaves no u_v.
+    coefficient, i ascending; gap is the gcd of the u_v-exponent gaps inside
+    single coefficients, which every usable k divides.  After y -> u_v^c y,
+    the inputs' lowest u_v-exponents m_A, m_B are stripped and u_v^k is
+    packed (see the module docstring); k = 0 when stripping leaves no u_v.
     """
-    best = None
-    for c in range(gap if gap else top + 1):
-        k, lows, tops = gap, [], []
-        for rows in spans:
-            low = min(lo[v] + c * i for i, lo, _ in rows)
-            for i, lo, _ in rows:
-                k = gcd(k, lo[v] + c * i - low)
-            lows.append(low)
-            tops.append(max(hi[v] + c * i for i, _, hi in rows) - low)
-        slots = (dB * tops[0] + dA * tops[1]) // k + 1 if k else 1
-        if best is None or slots < best[0]:
-            best = (slots, c, k, lows)
-    return best
+    # f(c) = dB top_A(c) + dA top_B(c), each top the upper envelope of the
+    # lines hi + c i less the lower envelope of lo + c i, is convex: its slope,
+    # -dB span_A - dA span_B far left, rises by weight (x1 - x0) at the
+    # breakpoint c = (y0 - y1) / (x1 - x0) of each hull edge of the points (i, e)
+    envelopes, rises, fall, forms = [], [], 0, []
+    for rows, weight in zip(spans, (dB, dA)):
+        i0, lo0, _ = rows[0]
+        forms += [(lo[v] - lo0[v], i - i0) for i, lo, _ in rows[1:]]
+        fall += weight * (rows[-1][0] - i0)
+        for sign, points in ((1, [(i, hi[v]) for i, _, hi in rows]),
+                             (-1, [(i, lo[v]) for i, lo, _ in rows])):
+            hull = points[:2]  # upper (sign 1) or lower (-1) hull
+            for x, y in points[2:]:
+                while len(hull) > 1:
+                    (x0, y0), (x1, y1) = hull[-2], hull[-1]
+                    if sign * ((y1 - y0) * (x - x1) - (y - y1) * (x1 - x0)) > 0:
+                        break
+                    hull.pop()
+                hull.append((x, y))
+            envelopes.append((sign * weight, hull))
+            rises += [(-((y1 - y0) // (x1 - x0)), weight * (x1 - x0))
+                      for (x0, y0), (x1, y1) in zip(hull, hull[1:])]
+    # c1, the least integer where the right slope is >= 0: f is least at
+    # some point of (c1 - 1, c1]
+    rises.sort()
+    c1 = next((c for c, total in zip((c for c, _ in rises), accumulate(w for _, w in rises))
+               if total >= fall), 0)
+
+    seen = {}
+
+    def spread(c):  # f(c)
+        if c not in seen:
+            f = 0
+            for w, hull in envelopes:
+                vals = [e + c * i for i, e in hull]
+                f += w * (max(vals) if w > 0 else min(vals))
+            seen[c] = f
+        return seen[c]
+
+    # k(c), the gcd of gap and of d + c n over the forms (d, n) (a row's lowest
+    # exponent and index less those of its input's first row), divides each
+    # n_q (d + c n) - n (d_q + c n_q), so it depends on c modulo their gcd T.  On each class c = r mod T the
+    # convex f is least at one of the class points around f's least point:
+    # the last at or below c1 - 1 and the next.  A class whose k cannot beat
+    # the best found, given f >= its least integer value, is skipped.
+    dq, nq = forms[0]
+    period = gcd(gap, *[nq * d - n * dq for d, n in forms])
+    if period:
+        least, best = min(spread(c1 - 1), spread(c1)), None
+        ks = [gcd(period, *[d + r * n for d, n in forms]) for r in range(period)]
+        for r in sorted(range(period), key=ks.__getitem__, reverse=True):
+            k = ks[r]
+            if best and -(-least // k) + 1 >= best[0]:
+                break
+            low = c1 - 1 - (c1 - 1 - r) % period
+            for c in (low, low + period):
+                tried = (spread(c) // k + 1, abs(c), c, k)
+                if best is None or tried < best:
+                    best = tried
+    else:
+        # T = 0: every form is a multiple of one line (gap = 0, so lo = hi),
+        # f and k are multiples of its modulus, and only its root, where f is
+        # least, differs from the other c
+        k = gcd(gap, *[d + c1 * n for d, n in forms])
+        best = (spread(c1) // k + 1 if k else 1, 0, c1, k)
+    slots, _, c, k = best
+    return slots, c, k, [min([e + c * i for i, e in hull]) for w, hull in envelopes if w < 0]
+
+
+def _slot_bytes(A, B) -> int:
+    """Bytes per slot: 2^(W-1) exceeds the Hadamard bound on Res(A, B) over the torus.
+
+    Column p of the Sylvester matrix holds A_j for j in [p - dB + 1, p] and
+    B_j for j in [p - dA + 1, p]; every row holds all of A or all of B.  The
+    smaller of the row and the column products of squared L1 norms bounds
+    |Res|^2.  Both also bound every input coefficient: each A_j and B_j sits
+    in some row and some column, and every row and column holds a nonzero
+    integral entry (a column p < min(dA, dB) holds A_0 and B_0, of which one
+    is nonzero, every other column a leading coefficient).
+    """
+    dA, dB = len(A) - 1, len(B) - 1
+    norms_a = [sum(map(abs, c.terms.values())) ** 2 for c in A]
+    norms_b = [sum(map(abs, c.terms.values())) ** 2 for c in B]
+    rows = sum(norms_a) ** dB * sum(norms_b) ** dA
+    cols = 1
+    for p in range(dA + dB):
+        cols *= sum(norms_a[max(p - dB + 1, 0):p + 1]) + sum(norms_b[max(p - dA + 1, 0):p + 1])
+    # |every coefficient| <= min(rows, cols)^(1/2) < 2^(w-1)
+    return (min(rows, cols).bit_length() + 1) // 2 // 8 + 1
 
 
 def _bias(n: int, nbytes: int) -> int:
@@ -364,15 +447,12 @@ def _one_point_resultant(A, B) -> Polynomial:
     offset, live, size = [0] * n, [], 1  # live: (v, c, k, (m_A, m_B), D, stride)
     for v in range(n):
         if highest[v]:  # else u_v does not occur
-            slots, c, k, lows = _grading(spans, v, gaps[v], highest[v], dA, dB)
+            slots, c, k, lows = _grading(spans, v, gaps[v], dA, dB)
             offset[v] = dB * lows[0] + dA * lows[1] - c * dA * dB
             if k:
                 live.append((v, c, k, lows, slots, size))
                 size *= slots
-    norms_a = sum(sum(map(abs, c.terms.values())) ** 2 for c in A)
-    norms_b = sum(sum(map(abs, c.terms.values())) ** 2 for c in B)
-    # |every coefficient| <= norms_a^(dB/2) norms_b^(dA/2) < 2^(w-1)
-    nbytes = (dB * norms_a.bit_length() + dA * norms_b.bit_length() + 1) // 2 // 8 + 1
+    nbytes = _slot_bytes(A, B)
 
     def at_point(coeffs, side):
         out = []

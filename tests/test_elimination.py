@@ -342,34 +342,84 @@ def test_delta6_elimination_pinned():
     assert zlib.crc32(payload.encode()) == 2862021745
 
 
-@pytest.mark.parametrize("height, slots", [("rho", 1384), ("min", 799)])
+def _image_sizes(monkeypatch, height):
+    """Slot counts and widths in bits of the delta-4 one-point images, by stage (x or y)."""
+    from wronski import resultants
+    from wronski.harness import resolve_height
+
+    sizes, stage = {"x": [], "y": []}, []
+    unpack = resultants._unpack
+
+    def recorded(x, n, nbytes):
+        if stage:
+            sizes[stage[-1]].append((n, 8 * nbytes))
+        return unpack(x, n, nbytes)
+
+    def staged(name, tag):
+        fn = getattr(elimination, name)
+
+        def inner(*args):
+            stage.append(tag)
+            try:
+                return fn(*args)
+            finally:
+                stage.pop()
+        monkeypatch.setattr(elimination, name, inner)
+
+    monkeypatch.setattr(resultants, "_unpack", recorded)
+    staged("resultant", "x")
+    staged("resultant_factors", "y")
+    eliminate_to_t(meta_system(4, resolve_height(height, 4)), refine=2)
+    return sizes
+
+
+@pytest.mark.parametrize("height, slots", [("rho", 1279), ("min", 529)])
 def test_x_stage_images_are_graded(monkeypatch, height, slots):
     # the summed slot counts of the x-resultant images at delta 4, one image
     # per pair of the three routes; exponent lattices alone gave 13,884 (rho)
-    # and 4,820 (min) when each pair's image was formed twice
-    from wronski import elimination, resultants
-    from wronski.harness import resolve_height
-
-    sizes, x_stage = [], []
-    unpack, res = resultants._unpack, elimination.resultant
-
-    def recorded(x, n, nbytes):
-        if x_stage:
-            sizes.append(n)
-        return unpack(x, n, nbytes)
-
-    def x_resultant(*args):
-        x_stage.append(True)
-        try:
-            return res(*args)
-        finally:
-            x_stage.pop()
-
-    monkeypatch.setattr(resultants, "_unpack", recorded)
-    monkeypatch.setattr(elimination, "resultant", x_resultant)
-    eliminate_to_t(meta_system(4, resolve_height(height, 4)), refine=2)
-    assert len(sizes) == 3 and sum(sizes) == slots
+    # and 4,820 (min) when each pair's image was formed twice, and scales
+    # y -> u^c y with 0 <= c < K alone gave 1,384 and 799
+    sizes = _image_sizes(monkeypatch, height)["x"]
+    assert len(sizes) == 3 and sum(n for n, _ in sizes) == slots
     assert 6 * slots <= {"rho": 13884, "min": 4820}[height]
+
+
+@pytest.mark.parametrize("height", ["rho", "min"])
+def test_outer_images_are_tilted(monkeypatch, height):
+    # under rho the t-exponents of y-coefficient i grow like 12 i, so only a
+    # negative scale (c = -12, -15, -12) brings its outer images down to
+    # min's sizes; scales 0 <= c < 3 gave rho 196, 231 and 236 slots.  The
+    # column bound narrows the slots from 72 to 64 bits
+    assert _image_sizes(monkeypatch, height)["y"] == [(76, 64), (101, 64), (76, 64)]
+
+
+def test_delta4_gcds_take_one_prime_each(monkeypatch):
+    # the squarefree gcds and the route gcd at delta 4 have coefficients of at
+    # most 21 bits and gamma = 1, so one prime below 2^30 decides each
+    primes, counts = [], []
+    gcd_mod_p = realroots._gcd_mod_p
+
+    def recorded(a, b, p):
+        primes.append(p)
+        return gcd_mod_p(a, b, p)
+
+    def counted(name):
+        fn = getattr(elimination, name)
+
+        def inner(*args):
+            start = len(primes)
+            out = fn(*args)
+            counts.append((name, len(primes) - start))
+            return out
+        monkeypatch.setattr(elimination, name, inner)
+
+    monkeypatch.setattr(realroots, "_gcd_mod_p", recorded)
+    counted("_compressed_squarefree")
+    counted("_compressed_gcd")
+    for height in (HeightFunction.rho(4), minimal_height(4)):
+        eliminate_to_t(meta_system(4, height), refine=2)
+    assert {name for name, _ in counts} == {"_compressed_squarefree", "_compressed_gcd"}
+    assert all(n == 1 for _, n in counts) and all(p < 2 ** 30 for p in primes)
 
 
 def test_routes_share_projections_and_squarefree_parts(monkeypatch):

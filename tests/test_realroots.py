@@ -428,7 +428,8 @@ def test_certificate_keeps_the_primitive_polynomial_as_squarefree_part():
 
 def test_counts_and_primes_match_sympy():
     sympy = pytest.importorskip("sympy")
-    assert all(sympy.isprime(q) and 61 <= q.bit_length() <= 63 for q in CERTIFICATE_PRIMES)
+    # one CPython digit each, so Euclid modulo them runs on the smallest ints
+    assert all(sympy.isprime(q) and q < 2 ** 30 for q in CERTIFICATE_PRIMES)
     x = sympy.Symbol("x")
     stream = Stream(0xDE5C)
     for _ in range(60):

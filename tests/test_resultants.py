@@ -252,6 +252,37 @@ def _counted_one_point(monkeypatch):
     return calls
 
 
+def _recorded_widths(monkeypatch):
+    """(A, B, nbytes) of every slot width `_slot_bytes` chooses."""
+    widths = []
+    slot_bytes = resultants._slot_bytes
+
+    def recorded(A, B):
+        widths.append((A, B, slot_bytes(A, B)))
+        return widths[-1][2]
+
+    monkeypatch.setattr(resultants, "_slot_bytes", recorded)
+    return widths
+
+
+def _check_widths(widths):
+    # W is never wider than the row bound alone gave, and 2^(W-1) still
+    # exceeds every input coefficient and every coefficient of Res(A, B)
+    assert widths
+    for A, B, nbytes in widths:
+        dA, dB = len(A) - 1, len(B) - 1
+        norms_a = sum(sum(map(abs, c.terms.values())) ** 2 for c in A)
+        norms_b = sum(sum(map(abs, c.terms.values())) ** 2 for c in B)
+        assert nbytes <= (dB * norms_a.bit_length() + dA * norms_b.bit_length() + 1) // 2 // 8 + 1
+        half = 2 ** (8 * nbytes - 1)
+        vars_ = A[0].vars + ("y",)
+        f, g = (Polynomial(vars_, {e + (i,): x for i, c in enumerate(P) for e, x in c.terms.items()})
+                for P in (A, B))
+        res = sylvester_resultant(f, g, "y")
+        assert all(abs(x) < half for P in (A, B) for c in P for x in c.terms.values())
+        assert all(abs(x) < half for x in res.terms.values())
+
+
 @pytest.mark.parametrize("live", [0, 1, 2, 3])
 def test_one_point_resultant_matches_sylvester_property(monkeypatch, live):
     # coefficients in `live` of the variables r, s, t; y is eliminated.  Each
@@ -268,6 +299,7 @@ def test_one_point_resultant_matches_sylvester_property(monkeypatch, live):
         return out
 
     monkeypatch.setattr(resultants, "_grading", recorded)
+    widths = _recorded_widths(monkeypatch)
     vars_ = ("r", "s", "t", "y")
     rng = random.Random(0x1E7 + live)
     for trial in range(25):
@@ -291,18 +323,100 @@ def test_one_point_resultant_matches_sylvester_property(monkeypatch, live):
         f, g = rand_y(da), rand_y(rng.randint(1, 6 - da))
         assert resultant(f, g, "y") == sylvester_resultant(f, g, "y"), (live, trial)
     assert len(calls) >= 20
+    _check_widths(widths)
     if live:  # each step of the grading ran: a scale, a strip, a compression
         assert any(c for _, c, _, _ in grades)
         assert any(any(lows) for _, _, _, lows in grades)
         assert any(k > 1 for _, _, k, _ in grades)
 
 
+def _scanned_grading(spans, gap, dA, dB, scales):
+    """(D, c, k, (m_A, m_B)) with the fewest slots D over the given scales, each graded directly."""
+    best = None
+    for c in scales:
+        k, lows, tops = gap, [], []
+        for rows in spans:
+            low = min(lo[0] + c * i for i, lo, _ in rows)
+            for i, lo, _ in rows:
+                k = math.gcd(k, lo[0] + c * i - low)
+            lows.append(low)
+            tops.append(max(hi[0] + c * i for i, _, hi in rows) - low)
+        slots = (dB * tops[0] + dA * tops[1]) // k + 1 if k else 1
+        if best is None or slots < best[0]:
+            best = (slots, c, k, lows)
+    return best
+
+
+def test_grading_finds_the_fewest_slots_over_all_scales():
+    # rows (i, lowest, highest exponent) whose exponents drift by a random
+    # slope per step of i, so the best scale is often negative; gap is the
+    # gcd of the spreads inside rows (0: every coefficient is one term)
+    rng = random.Random(0x7117)
+    negative = 0
+    for trial in range(600):
+        lattice = rng.choice([0, 1, 2, 3, 4, 6])
+        dA, dB = rng.randint(1, 6), rng.randint(1, 6)
+        spans = []
+        for d in (dA, dB):
+            slope, rows = rng.randint(-6, 6), []
+            for i in range(rng.choice([0, 0, 1]), d + 1):
+                if 0 < i < d and rng.random() < 0.3:
+                    continue
+                lo = 6 * d + slope * i + rng.randint(0, 8)
+                rows.append((i, [lo], [lo + lattice * rng.randint(0, 3)]))
+            spans.append(rows)
+        if spans[0][0][0] and spans[1][0][0]:  # y divides both: no resultant to grade
+            continue
+        gap = math.gcd(*(hi[0] - lo[0] for rows in spans for _, lo, hi in rows))
+        top = max(hi[0] for rows in spans for _, _, hi in rows)
+        got = resultants._grading(spans, 0, gap, dA, dB)
+        scales = range(-2 * top - gap, 2 * top + gap + 1)
+        assert got[0] == _scanned_grading(spans, gap, dA, dB, scales)[0], (trial, spans)
+        assert got == _scanned_grading(spans, gap, dA, dB, [got[1]]), (trial, spans)
+        negative += got[0] < _scanned_grading(spans, gap, dA, dB, range(0, 2 * top + gap + 1))[0]
+    assert negative > 50  # spans whose fewest slots need a negative scale
+
+
+@pytest.mark.parametrize("lattice", [1, 2, 3])
+def test_resultant_on_tilted_supports(monkeypatch, lattice):
+    # y-coefficient i of each input is t^(base + slope i) times a polynomial
+    # in t^lattice (and in s), so the support is sheared along i and the
+    # fewest slots come from scaling y by a negative or a positive power of t
+    grades = []
+    grading = resultants._grading
+
+    def recorded(*args):
+        grades.append(grading(*args))
+        return grades[-1]
+
+    monkeypatch.setattr(resultants, "_grading", recorded)
+    widths = _recorded_widths(monkeypatch)
+    vars_ = ("s", "t", "y")
+    rng = random.Random(0x5EA + lattice)
+
+    def tilted(dy, slope):
+        out = {}
+        for i in range(dy + 1):
+            for _ in range(rng.randint(1, 3)):
+                e = (rng.randint(0, 1), 3 * dy + slope * i + lattice * rng.randint(0, 2), i)
+                out[e] = rng.choice([-5, -2, -1, 1, 3, 4])
+        return Polynomial(vars_, out)
+
+    for trial in range(20):
+        slope = rng.choice([-3, -2, 2, 3, 5])
+        da = rng.randint(1, 3)
+        f, g = tilted(da, slope), tilted(rng.randint(1, 5 - da), slope)
+        assert resultant(f, g, "y") == sylvester_resultant(f, g, "y"), (lattice, trial)
+    _check_widths(widths)
+    assert any(c < 0 for _, c, _, _ in grades) and any(c > 0 for _, c, _, _ in grades)
+
+
 @pytest.mark.parametrize("a, b", [(1, 1), (2, 3), (5, 2), (2, 4), (6, 9)])
 def test_one_point_degree_bound_is_attained(monkeypatch, a, b):
     # Res_y(1 + t^a + y, 1 + t^b y) = 1 - t^b - t^(a+b): the gap a inside a
-    # coefficient leaves only c < a, and c = 0 is best, so the top term sits
-    # in the last slot D - 1 of the compressed lattice
-    # (D = (dB a + dA b) / gcd(a, b) + 1)
+    # coefficient makes every usable k divide a, and no scale c beats c = 0
+    # (c = -b ties), so the top term sits in the last slot D - 1 of the
+    # compressed lattice (D = (dB a + dA b) / gcd(a, b) + 1)
     digits = []
     unpack = resultants._unpack
 
@@ -319,9 +433,10 @@ def test_one_point_degree_bound_is_attained(monkeypatch, a, b):
     assert [len(d) for d in digits] == [(a + b) // math.gcd(a, b) + 1]
     assert digits[0][-1] == -1
     # Res_y(t^a + y, 1 + t^b y) = 1 - t^(a+b): y -> t^a y turns the inputs
-    # into t^a (1 + y) and 1 + t^(a+b) y, stripped and compressed to
-    # Res(1 + y, 1 + s y) = 1 - s in D = 2 slots (3 before the grading at
-    # a = b = 1), the top term again in the last
+    # into t^a (1 + y) and 1 + t^(a+b) y (y -> t^-b y, the tie kept at
+    # a >= b, into t^-b (t^(a+b) + y) and 1 + y), stripped and compressed to a
+    # resultant 1 - s in D = 2 slots (3 before the grading at a = b = 1), the
+    # top term again in the last
     digits.clear()
     f, g = t ** a + y, 1 + t ** b * y
     r = resultant(f, g, "y")
