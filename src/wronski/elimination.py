@@ -32,9 +32,8 @@ from math import comb, gcd, lcm
 
 from .errors import DegenerateInstanceError, DomainError, EliminationError
 from .polynomial import Polynomial
-from .realroots import (IsolatingInterval, UnivariatePolynomial, count_real_roots, dcompress,
-                        ddiv_exact, dexpand, dexponent_gcd, dgcd, dmul, dprimitive, dstrip,
-                        isolate_real_roots, refine_interval, sturm_count)
+from .realroots import (IsolatingInterval, UnivariatePolynomial, count_real_roots, ddiv_exact,
+                        dgcd, dmul, dstrip, isolate_real_roots, refine_interval, sturm_count)
 from .resultants import interpolated_resultant, resultant, resultant_factors
 from .rng import Stream, derive_seed
 from .systems import MetaSystem, boundary_subsystems
@@ -47,47 +46,6 @@ def _t_ints(p: Polynomial):
     return UnivariatePolynomial(p.dense("t")).int_primitive()
 
 
-def _strip_t_power(p: Polynomial):
-    """Factor out the largest power of t; returns (reduced, power)."""
-    if "t" not in p.vars or p.is_zero():
-        return p, 0
-    i = p.vars.index("t")
-    k = min(e[i] for e in p.terms)
-    if k == 0:
-        return p, 0
-    terms = {e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in p.terms.items()}
-    return Polynomial(p.vars, terms), k
-
-
-def _t_content(p: Polynomial):
-    """gcd over Z[t] of the coefficients with respect to the non-t variables.
-
-    Returns (reduced, content) with content a UnivariatePolynomial in t;
-    content is [1] when trivial.  Expects integer coefficients.
-    """
-    others = [v for v in p.vars if v != "t" and p.degree(v) > 0]
-    if "t" not in p.vars or len(others) != 1:
-        return p, UnivariatePolynomial([1])
-    u = others[0]
-    rows = [c.dense("t") for c in p.as_univariate(u)]
-    g = []
-    for row in rows:
-        if row:
-            g = dgcd(g, row) if g else dprimitive(row)
-            if g == [1]:
-                return p, UnivariatePolynomial([1])
-    rows = [ddiv_exact(row, g) for row in rows]
-    ti, ui = p.vars.index("t"), p.vars.index(u)
-    terms = {}
-    for ue, row in enumerate(rows):
-        for k, c in enumerate(row):
-            if c:
-                e = [0] * len(p.vars)
-                e[ti], e[ui] = k, ue
-                terms[tuple(e)] = c
-    return Polynomial(p.vars, terms), UnivariatePolynomial(g)
-
-
 @dataclass(frozen=True)
 class ProjectionFactor:
     """One partial projection R = t^k * content(t) * poly, fully bookkept."""
@@ -98,14 +56,13 @@ class ProjectionFactor:
     content: UnivariatePolynomial  # [1] when trivial
 
     def t_free_no_real_zeros(self) -> bool:
-        """True when poly involves only the surviving variable and has no real zeros."""
+        """True when poly involves only the surviving variable and has no real zeros.
+
+        poly has no x, and no t once the t check has passed.
+        """
         if self.surviving_var is None or self.poly.degree("t") > 0:
             return False
-        try:
-            u = UnivariatePolynomial(self.poly.dense(self.surviving_var))
-        except DomainError:
-            return False
-        return not u.is_zero() and (u.degree() == 0 or count_real_roots(u) == 0)
+        return count_real_roots(UnivariatePolynomial(self.poly.dense(self.surviving_var))) == 0
 
 
 @dataclass(frozen=True)
@@ -177,24 +134,6 @@ class EliminationResult:
         }
 
 
-def _compressed_squarefree(ints):
-    """Squarefree part computed inside the exponent lattice of the input.
-
-    With a nonzero constant term, P(t) = Q(t^g) is squarefree exactly when Q
-    is, and the squarefree parts correspond under the same substitution; the
-    compressed domain makes the gcd with the derivative g^2 times cheaper.
-    """
-    g = dexponent_gcd(ints)
-    sf = UnivariatePolynomial(dcompress(ints, g)).squarefree_part()
-    return dexpand(sf.coeffs, g)
-
-
-def _compressed_gcd(a, b):
-    """gcd of integer polynomials through their common exponent lattice."""
-    g = dexponent_gcd(b, dexponent_gcd(a))
-    return dexpand(dgcd(dcompress(a, g), dcompress(b, g)), g)
-
-
 def _t_power(ints) -> int:
     """The exponent of the largest power of t dividing a nonzero list."""
     return next(i for i, c in enumerate(ints) if c)
@@ -230,7 +169,7 @@ class _SharedWork:
       squarefree part or gcd taken from it, so both orders share one; only
       when neither polynomial involves x does `_elim_step` keep the first,
       and then the order is part of the key.
-    * The squarefree part of each operand (`_compressed_squarefree`).
+    * The squarefree part of each operand.
     """
 
     def __init__(self, fs):
@@ -252,10 +191,10 @@ class _SharedWork:
         return self.projected[key]
 
     def squarefree_part(self, ints):
-        """`_compressed_squarefree(ints)`, computed once per operand."""
+        """The squarefree part of ints as an integer list, computed once per operand."""
         key = tuple(ints)
         if key not in self.squarefree:
-            self.squarefree[key] = _compressed_squarefree(ints)
+            self.squarefree[key] = UnivariatePolynomial(ints).squarefree_part().coeffs
         return self.squarefree[key]
 
 
@@ -271,11 +210,30 @@ def _sheared(fs, shear):
 
 
 def _projection_factor(R: Polynomial) -> ProjectionFactor:
-    """R's primitive part, stripped of its power of t and its t-content, with both kept."""
-    P, k = _strip_t_power(R.primitive_part())
-    P, content = _t_content(P)
-    others = [v for v in P.vars if v != "t" and P.degree(v) > 0]
-    return ProjectionFactor(P, others[0] if others else None, k, content)
+    """R = t^k content(t) P, split in one pass over R's rows in its variables besides t.
+
+    R's variables include t.  P is primitive over Z and k is R's lowest
+    power of t.  The content ([1] when trivial) is the gcd of the rows when
+    a variable besides t survives; taken after the t-power strip, it never
+    vanishes at 0.
+    """
+    others = [v for v in R.vars if v != "t" and R.degree(v) > 0]
+    ti, top = R.vars.index("t"), R.degree("t")
+    cont = R.content()
+    rows = {}  # the other exponents -> the dense t-list of that row of R / cont
+    for e, c in R.terms.items():
+        key = e[:ti] + e[ti + 1:]
+        if key not in rows:
+            rows[key] = [0] * (top + 1)
+        rows[key][e[ti]] = c * cont.denominator // cont.numerator
+    k = min(map(_t_power, rows.values()))
+    rows = {key: dstrip(row[k:]) for key, row in rows.items()}
+    content = dgcd(*rows.values()) if others else [1]
+    if content != [1]:
+        rows = {key: ddiv_exact(row, content) for key, row in rows.items()}
+    terms = {key[:ti] + (j,) + key[ti:]: c for key, row in rows.items() for j, c in enumerate(row)}
+    return ProjectionFactor(Polynomial(R.vars, terms), others[0] if others else None, k,
+                            UnivariatePolynomial(content))
 
 
 def _one_route(work: _SharedWork, pivot: int, shear):
@@ -352,7 +310,7 @@ def eliminate_to_t(system: MetaSystem, refine: int = 0, seed: int = 0) -> Elimin
         contents = [pr.content.coeffs for pr in extra_projections if pr.content.degree() > 0]
         other_sf = work.squarefree_part(_squarefree_operand(extra_factors, contents))
         refined_degrees.append(len(other_sf) - 1)
-        sf = _compressed_gcd(sf, other_sf)
+        sf = dgcd(sf, other_sf)
     E = UnivariatePolynomial.from_squarefree(sf)  # a gcd of squarefree parts
     contents = [pr.content for pr in projections if pr.content.degree() > 0]
     t_power_removed = k3 + sum(pr.t_power for pr in projections)
@@ -396,13 +354,14 @@ def certify_no_real_solutions(system: MetaSystem, t_upper=None, refine: int = 2,
 def certify_elimination(result: EliminationResult, t_upper=None) -> Certificate:
     """The certificate of certify_no_real_solutions for an elimination already done."""
     hi = Fraction(t_upper) if t_upper is not None else None
-    candidates = result.real_root_candidates(0 if hi is not None else None, hi, include_zero=False)
+    lo = 0 if hi is not None else None
+    candidates = result.real_root_candidates(lo, hi, include_zero=False)
     if not candidates:
         scope = "t != 0" if t_upper is None else f"0 < t <= {t_upper}"
         return Certificate(True, "eliminant", f"no real candidate roots with {scope}")
     for pr in result.projections:
-        if pr.t_free_no_real_zeros() and not (
-                pr.content.degree() > 0 and _content_has_roots(pr.content, hi)):
+        # a content never vanishes at 0, so the window (lo, hi] is all that counts
+        if pr.t_free_no_real_zeros() and sturm_count(pr.content, (lo, hi)) == 0:
             return Certificate(
                 True, "projection-factor",
                 f"partial projection in {pr.surviving_var!r} has no real zeros; "
@@ -410,16 +369,6 @@ def certify_elimination(result: EliminationResult, t_upper=None) -> Certificate:
     return Certificate(False, "inconclusive",
                        "real candidate roots survive all certificates",
                        tuple(candidates))
-
-
-def _content_has_roots(content: UnivariatePolynomial, t_upper) -> bool:
-    """Whether content vanishes in (0, t_upper], or anywhere but 0 when t_upper is None.
-
-    Both are root counts: over the window, or over the line less a root at 0.
-    """
-    if t_upper is not None:
-        return sturm_count(content, (0, t_upper)) > 0
-    return count_real_roots(content) > (content.coeffs[0] == 0)
 
 
 # -- real intersection counting -----------------------------------------------------
@@ -569,9 +518,7 @@ def boundary_check(system: MetaSystem):
                                       "positive-dimensional", (),
                                       "a single slice survives; the stratum is a curve"))
             continue
-        g = []
-        for c in candidates:
-            g = dgcd(g, c) if g else dprimitive(c)
+        g = dgcd(*candidates)
         G = gcds.setdefault(tuple(g), UnivariatePolynomial(g))
         if G.degree() <= 0:
             status, ivs = "infeasible", ()

@@ -263,16 +263,13 @@ class Polynomial:
     # -- content ---------------------------------------------------------------
 
     def content(self) -> Fraction:
-        """Positive rational c with self/c primitive integral; 0 for the zero poly."""
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            f = Fraction(c)
-            num = gcd(num, abs(f.numerator))
-            den = lcm(den, f.denominator)
-        return Fraction(num, den)
+        """Positive rational c with self/c primitive integral; 0 for the zero poly.
+
+        Coefficients are ints or Fractions, and both carry their numerator
+        and denominator.
+        """
+        cs = self.terms.values()
+        return Fraction(gcd(*(c.numerator for c in cs)), lcm(*(c.denominator for c in cs)))
 
     def primitive_part(self) -> "Polynomial":
         c = self.content()

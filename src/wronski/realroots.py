@@ -14,13 +14,16 @@ of it shares one gcd, and each polynomial is isolated once.
   descending order, found on demand by deterministic Miller-Rabin; nothing
   is computed at import.  Below 2^30 a residue is one CPython digit and a
   product of two at most two, so Euclid runs on the smallest big integers;
-  a gcd with wider coefficients simply takes more primes.
-* Squarefree part.  `squarefree_part` is the cofactor of the modular gcd
-  of the primitive polynomial and its derivative, and `is_squarefree`
-  compares its degree.  The first prime not dividing the leading coefficient
-  usually gives a unit image, which proves squarefreeness over Q at once and
-  keeps the primitive polynomial as its own squarefree part; any other
-  outcome is decided by the exact gcd.
+  a gcd with wider coefficients simply takes more primes.  `dgcd` takes
+  any number of operands and folds their gcd in their common exponent
+  lattice: gcd(a(x^g), b(x^g)) = gcd(a, b)(x^g).
+* Squarefree part.  `squarefree_part` works in the polynomial's own
+  lattice: for p = x^m q(x^g) with q(0) != 0 it is x^min(m, 1) s(x^g), s the
+  cofactor of the modular gcd of the primitive q and its derivative, and
+  `is_squarefree` compares its degree.  The first prime not dividing the
+  leading coefficient usually gives a unit image, which proves q squarefree
+  over Q at once and keeps it as its own squarefree part; any other outcome
+  is decided by the exact gcd.
 * Real roots.  One engine, Descartes-rule bisection (Collins-Akritas) on
   the squarefree part in integer arithmetic alone: x = 0 is taken apart,
   each half-line is mapped into (0, 1) by a power-of-two root bound, and
@@ -51,8 +54,9 @@ of it shares one gcd, and each polynomial is isolated once.
   Each gcd prime, count, subdivision node and bisection step checks the run
   deadline (`errors.deadline`).
 
-The integer-list kernels `dmul` and `ddiv_exact` are schoolbook loops, and
-`dprem` is the pseudo-remainder of one integer polynomial by another.
+The integer-list kernels `dmul` and `ddiv_exact` are schoolbook loops.
+`dprem_columns` is the pseudo-remainder of the resultant PRS, run over the
+columns of a batch of points, and `dprem` its batch of one.
 Integer quotients (`dquo_exact`) switch on size: `divmod` while the quotient
 or the divisor is below QUOTIENT_2ADIC_BITS, a 2-adic quotient (Jebelean)
 from there on, each checked; an inexact division raises ValueError.  They
@@ -68,7 +72,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from math import comb, gcd, lcm
-from operator import add, ne, or_
+from operator import add, mul, ne, or_, sub
 
 from .errors import DomainError, check_deadline
 
@@ -100,12 +104,6 @@ def dmul(a, b):
 
 def dderiv(a):
     return dstrip([k * c for k, c in enumerate(a)][1:])
-
-
-def dscale(a, k):
-    if k == 0:
-        return []
-    return [c * k for c in a]
 
 
 def dcontent(a) -> int:
@@ -148,22 +146,29 @@ def ddiv_exact(a, b):
 
 
 def dprem(a, b):
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, integer arithmetic."""
-    db = len(b) - 1
-    if db < 0:
+    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, integer arithmetic.
+
+    The batch of one of `dprem_columns`, stripped.
+    """
+    if not b:
         raise ZeroDivisionError("pseudo-division by zero")
-    lb, low = b[-1], b[:-1]
-    r = list(a)
-    steps = len(a) - db
-    while len(r) > db:
+    return dstrip([col[0] for col in dprem_columns([[c] for c in a], [[c] for c in b])])
+
+
+def dprem_columns(A, B):
+    """lc(B)^(dA - dB + 1) A mod B at every point of a batch, for dA >= dB: dB columns.
+
+    Coefficient i of A is the column A[i] of its values at the points
+    (likewise B); vanishing top values are kept.
+    """
+    lb, low = B[-1], B[:-1]
+    r = list(A)
+    for _ in range(len(A) - len(B) + 1):
         lead = r.pop()  # cancelled by lead * lb
-        shift = len(r) - db
-        r[:shift] = [c * lb for c in r[:shift]]
-        r[shift:] = [c * lb - lead * cb for c, cb in zip(r[shift:], low)]
-        dstrip(r)
-        steps -= 1
-    if steps > 0:
-        r = dscale(r, lb ** steps)
+        shift = len(r) - len(low)
+        r[:shift] = [list(map(mul, col, lb)) for col in r[:shift]]
+        r[shift:] = [list(map(sub, map(mul, col, lb), map(mul, lead, bcol)))
+                     for col, bcol in zip(r[shift:], low)]
     return r
 
 
@@ -298,6 +303,9 @@ def dquo_exact(a, d: int):
 #   the primes are lucky and their product exceeds twice the scaled gcd's
 #   coefficients the candidate is right, so the loop ends (the primes below
 #   2^30 multiply to about 2^(1.5 * 10^9)).
+# * More operands.  Everything above holds with b standing for all operands
+#   but a: the image is the gcd in F_p[x] of all their images, gamma the gcd
+#   of all leading coefficients, and G must divide every operand.
 
 CERTIFICATE_PRIMES = (2 ** 30 - 35, 2 ** 30 - 41, 2 ** 30 - 83, 2 ** 30 - 101, 2 ** 30 - 105)
 
@@ -372,34 +380,43 @@ def _quotient(a, g):
         return None
 
 
-def dgcd(a, b):
+def dgcd(*operands):
     """Primitive gcd of integer polynomials, positive leading coefficient.
 
-    The modular gcd described above: the result has been proved by exact
-    division.  The gcd with a zero polynomial is the other operand made
-    primitive, and a nonzero constant operand gives [1].
+    The modular gcd described above, taken in the operands' common exponent
+    lattice: with every exponent a multiple of g, gcd(a(x^g), b(x^g)) =
+    gcd(a, b)(x^g), because a Bezout identity survives x -> x^g, and the
+    compressed gcd is about g^2 times cheaper.  The result has been proved
+    by exact division.  Zero operands are skipped (the gcd of zeros alone is
+    []), and a nonzero constant operand gives [1].
     """
-    a, b = dstrip(dprimitive(a)), dstrip(dprimitive(b))
-    if not a or not b:
-        g = a or b
-        return dneg(g) if g and g[-1] < 0 else g
-    return _gcd_cofactor(a, b)[0]
+    lattice = reduce(lambda g, a: dexponent_gcd(a, g), operands, 0)
+    nonzero = [a for a in (dstrip(dprimitive(dcompress(a, lattice))) for a in operands) if a]
+    if len(nonzero) > 1:
+        g = _gcd_cofactor(*nonzero)[0]
+    else:
+        g = nonzero[0] if nonzero else []
+    return dexpand(dneg(g) if g and g[-1] < 0 else g, lattice)
 
 
-def _gcd_cofactor(a, b):
-    """(G, a / G) for G = dgcd(a, b), a primitive and b nonzero, both stripped.
+def _gcd_cofactor(a, *others):
+    """(G, a / G) for G = dgcd(a, *others), a primitive and the others nonzero, all stripped.
 
-    The cofactor is the quotient the acceptance check has already formed.
+    Each prime's image is the gcd in F_p[x] of every operand's image, and
+    the candidate must divide every operand.  The cofactor is the quotient
+    the acceptance check has already formed.
     """
-    if len(a) == 1 or len(b) == 1:
+    if len(a) == 1 or any(len(b) == 1 for b in others):
         return [1], a
-    gamma = gcd(a[-1], b[-1])
+    gamma = gcd(a[-1], *(b[-1] for b in others))
     m, h = 1, None  # the modulus and the symmetric residues of the kept images
     for p in _primes():
         check_deadline("gcd computation")
         if a[-1] % p == 0:
             continue
-        image = _gcd_mod_p([c % p for c in a], [c % p for c in b], p)
+        image = [c % p for c in a]
+        for b in others:
+            image = _gcd_mod_p(image, [c % p for c in b], p)
         if len(image) == 1:
             return [1], a
         if h is not None and len(image) > len(h):
@@ -417,7 +434,7 @@ def _gcd_cofactor(a, b):
         if g[-1] < 0:
             g = dneg(g)
         q = _quotient(a, g)
-        if q is not None and _quotient(b, g) is not None:
+        if q is not None and all(_quotient(b, g) is not None for b in others):
             return g, q
 
 
@@ -515,27 +532,26 @@ class UnivariatePolynomial:
     def squarefree_part(self) -> "UnivariatePolynomial":
         """Primitive squarefree part, positive leading coefficient; kept once computed.
 
-        It is the cofactor of gcd(p, p'); a unit image of that gcd modulo a
-        prime certifies p squarefree, and the primitive p is its own
+        It is taken in p's own lattice: for p = x^m q(x^g) with q(0) != 0 it
+        is x^min(m, 1) s(x^g), s the squarefree part of q (the x^g - z over
+        the distinct roots z != 0 of q are squarefree and pairwise coprime).
+        s is the cofactor of gcd(q, q'); a unit image of that gcd modulo a
+        prime certifies q squarefree, and the primitive q is its own
         squarefree part.
         """
         if self._sf is None:
             ints = self.int_primitive()
-            if len(ints) <= 1:
-                sf = ints and [1]
-            else:
-                sf = _gcd_cofactor(ints, dderiv(ints))[1]
-            self._sf = UnivariatePolynomial.from_squarefree(sf)
+            m = next((i for i, c in enumerate(ints) if c), 0)
+            lattice = dexponent_gcd(ints[m:])
+            q = dcompress(ints[m:], lattice)
+            if len(q) > 1:
+                q = _gcd_cofactor(q, dderiv(q))[1]
+            self._sf = UnivariatePolynomial.from_squarefree([0] * min(m, 1) + dexpand(q, lattice))
         return self._sf
 
     def is_squarefree(self) -> bool:
         """Whether the polynomial has no repeated factor."""
-        return _squarefree(self).degree() == self.degree()
-
-
-def _squarefree(p: UnivariatePolynomial) -> UnivariatePolynomial:
-    """p's squarefree part, reusing the one p already holds."""
-    return p._sf if p._sf is not None else p.squarefree_part()
+        return self.squarefree_part().degree() == self.degree()
 
 
 def _drop_root(ints, x: Fraction):
@@ -744,7 +760,7 @@ def _descartes(p: UnivariatePolynomial):
     Checks the deadline on each call, even when the data is kept.
     """
     check_deadline("root isolation")
-    sf = _squarefree(p)
+    sf = p.squarefree_part()
     if sf._descartes is None:
         q = sf.coeffs
         sf._descartes = (q, dderiv(q), _real_roots(q))
@@ -815,7 +831,7 @@ def isolate_real_roots(p: UnivariatePolynomial):
 
 
 def _isolate(p: UnivariatePolynomial):
-    sf = _squarefree(p)
+    sf = p.squarefree_part()
     was_squarefree = sf.degree() == p.degree()
     q = sf.coeffs  # deflated by each exact root found
     found_points = []
@@ -906,7 +922,7 @@ def refine_interval(p: UnivariatePolynomial, interval: IsolatingInterval,
         return interval
     key = (interval, Fraction(width))
     if key not in p._refined:
-        lo, hi = _bisect(_squarefree(p).coeffs, interval.lo, interval.hi,
+        lo, hi = _bisect(p.squarefree_part().coeffs, interval.lo, interval.hi,
                          lambda lo, hi: hi - lo <= width, "interval refinement")
         p._refined[key] = IsolatingInterval(lo, hi, interval.multiplicity_free)
     return p._refined[key]

@@ -86,11 +86,10 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import gcd
-from operator import mul, sub
 
 from .errors import DomainError, check_deadline
 from .polynomial import Polynomial
-from .realroots import dcompress, dexponent_gcd, dinterpolate, dquo_exact
+from .realroots import dcompress, dexponent_gcd, dinterpolate, dprem_columns, dquo_exact
 
 
 def _prs_resultant(A, B):
@@ -119,7 +118,7 @@ def _prs_resultant(A, B):
             if dA % 2 and dB % 2:
                 sign = -sign
             divisor = [x * y ** delta for x, y in zip(g, h)]
-            A, B, g = B, _divide(_prem(A, B), divisor), B[-1]
+            A, B, g = B, _divide(dprem_columns(A, B), divisor), B[-1]
             if delta == 1:
                 h = g
             elif delta > 1:
@@ -133,19 +132,6 @@ def _prs_resultant(A, B):
             for p, x in zip(points, top):
                 out[p] = sign * x
     return out
-
-
-def _prem(A, B):
-    """lc(B)^(dA - dB + 1) A mod B at every point: dB columns, vanishing top values kept."""
-    lb, low = B[-1], B[:-1]
-    r = list(A)
-    for _ in range(len(A) - len(B) + 1):
-        lead = r.pop()  # cancelled by lead * lb
-        shift = len(r) - len(low)
-        r[:shift] = [list(map(mul, col, lb)) for col in r[:shift]]
-        r[shift:] = [list(map(sub, map(mul, col, lb), map(mul, lead, bcol)))
-                     for col, bcol in zip(r[shift:], low)]
-    return r
 
 
 def _divide(r, d):

@@ -7,16 +7,16 @@ from fractions import Fraction as Q
 import pytest
 
 from wronski import deadline, elimination, realroots
-from wronski.elimination import (EliminationResult, _compressed_gcd, _compressed_squarefree,
-                                 _t_content, boundary_check, certify_elimination,
-                                 certify_no_real_solutions, count_real_intersections,
-                                 eliminate_to_t)
+from wronski.elimination import (EliminationResult, _projection_factor, boundary_check,
+                                 certify_elimination, certify_no_real_solutions,
+                                 count_real_intersections, eliminate_to_t)
 from wronski.errors import EliminationError
 from wronski.heights import HeightFunction, minimal_height
 from wronski.lattice import hexagon_example
 from wronski.polynomial import Polynomial
 from wronski.realroots import (IsolatingInterval, UnivariatePolynomial, count_real_roots,
-                               ddiv_exact, dgcd, dmul, isolate_real_roots, sturm_count)
+                               ddiv_exact, dgcd, dmul, dprimitive, isolate_real_roots,
+                               sturm_count)
 from wronski.resultants import resultant
 from wronski.rng import Stream
 from wronski.systems import meta_system, meta_system_from_points
@@ -188,13 +188,82 @@ def test_squarefree_and_gcd_passes_honor_deadline():
         with pytest.raises(TimeoutError):
             UnivariatePolynomial(b).squarefree_part()
         with pytest.raises(TimeoutError):
-            _compressed_squarefree(b)
+            dgcd(b, dmul(a, [3, 0, 0, 1]), a)
         with pytest.raises(TimeoutError):
-            _compressed_gcd(b, dmul(a, [3, 0, 0, 1]))
-        with pytest.raises(TimeoutError):
-            _t_content(p)
-    assert _compressed_squarefree(b) == a and _compressed_gcd(b, a) == a
-    assert _t_content(p) == (y + t + 2, UnivariatePolynomial([1, 1]))
+            _projection_factor(p)
+    assert UnivariatePolynomial(b).squarefree_part().coeffs == a and dgcd(b, a) == a
+    factor = _projection_factor(p)
+    assert (factor.poly, factor.content) == (y + t + 2, UnivariatePolynomial([1, 1]))
+
+
+def _strip_t_power(p: Polynomial):
+    """Factor out the largest power of t; returns (reduced, power)."""
+    if "t" not in p.vars or p.is_zero():
+        return p, 0
+    i = p.vars.index("t")
+    k = min(e[i] for e in p.terms)
+    if k == 0:
+        return p, 0
+    terms = {e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in p.terms.items()}
+    return Polynomial(p.vars, terms), k
+
+
+def _t_content(p: Polynomial):
+    """(p / content, content): the gcd over Z[t] of p's coefficients in its other variable."""
+    others = [v for v in p.vars if v != "t" and p.degree(v) > 0]
+    if "t" not in p.vars or len(others) != 1:
+        return p, UnivariatePolynomial([1])
+    u = others[0]
+    rows = [c.dense("t") for c in p.as_univariate(u)]
+    g = []
+    for row in rows:
+        if row:
+            g = dgcd(g, row) if g else dprimitive(row)
+            if g == [1]:
+                return p, UnivariatePolynomial([1])
+    rows = [ddiv_exact(row, g) for row in rows]
+    ti, ui = p.vars.index("t"), p.vars.index(u)
+    terms = {}
+    for ue, row in enumerate(rows):
+        for k, c in enumerate(row):
+            if c:
+                e = [0] * len(p.vars)
+                e[ti], e[ui] = k, ue
+                terms[tuple(e)] = c
+    return Polynomial(p.vars, terms), UnivariatePolynomial(g)
+
+
+def test_projection_factor_matches_the_three_pass_split():
+    # the one-pass split against primitive part, t-power strip and t-content
+    # taken one after the other: R = kappa t^k c(t) sum_j r_j(t) y^j, with a
+    # t-power, a content, a single nonzero y-row, no y, and rational kappa
+    stream = Stream(0x9F0C7)
+    for case in range(60):
+        variables = ("t", "y") if case % 2 else ("t", "x", "y")
+        content = [stream.nonzero_int(4)] + [stream.int_in(-4, 4) for _ in range(case % 3)]
+        rows = [[stream.int_in(-5, 5) for _ in range(stream.int_in(1, 4))]
+                for _ in range(1 + case % 4)]
+        if case % 5 == 0:
+            rows = [[0]] * (len(rows) - 1) + [rows[-1]]
+        scale = Q(stream.nonzero_int(7), stream.int_in(1, 6)) if case % 3 else 1
+        power = stream.int_in(0, 3)
+        terms = {}
+        for j, row in enumerate(rows):
+            for i, c in enumerate(dmul(content, row)):
+                if c:
+                    terms[(power + i, 0, j) if len(variables) == 3 else (power + i, j)] = scale * c
+        if not terms:
+            continue
+        R = Polynomial(variables, terms)
+        P, k = _strip_t_power(R.primitive_part())
+        P, c = _t_content(P)
+        got = _projection_factor(R)
+        single = sum(1 for r in P.as_univariate("y") if not r.is_zero()) == 1
+        assert got.t_power == k and got.poly.vars == variables, case
+        assert got.surviving_var == ("y" if P.degree("y") > 0 else None), case
+        if single and got.content == -c:  # a single row's content comes out positive
+            c, P = -c, -P
+        assert (got.content, got.poly) == (c, P), case
 
 
 def test_eliminate_passes_its_deadline_to_the_squarefree_pass(expire_after):
@@ -207,16 +276,16 @@ def test_eliminate_passes_its_deadline_to_the_squarefree_pass(expire_after):
 
 def test_eliminate_passes_its_deadline_to_the_t_contents(expire_after):
     # the clock runs out once the first x-resultant (1 + t)(2 - y - y^2) is
-    # reduced, so only the gcd of its Z[t] content 1 + t can notice it
+    # formed, so only the gcd of its Z[t] content 1 + t can notice it
     V = ("t", "x", "y")
     t, x, y = (Polynomial.variable(v, V) for v in V)
     bad = meta_system(1, HeightFunction.zero(1))
     fs = (x + y - 2, (1 + t) * (x - y * y), x - y * y + (t - 2) * y)
     system = type(bad)(bad.points, bad.coloring, bad.omega, bad.kappa, fs, 1)
-    expire_after(elimination, "_strip_t_power")
+    expire_after(elimination, "resultant")
     with deadline(time.monotonic() + 600), pytest.raises(TimeoutError, match="gcd") as info:
         eliminate_to_t(system)
-    assert "_t_content" in [entry.name for entry in info.traceback]
+    assert "_projection_factor" in [entry.name for entry in info.traceback]
 
 
 def test_root_candidates_and_certificates_honor_deadline():
@@ -232,11 +301,9 @@ def test_root_candidates_and_certificates_honor_deadline():
 
 
 def test_window_counts_and_certificates_pass_their_deadline(expire_after):
-    from wronski.elimination import _content_has_roots
-
     past = time.monotonic() - 1
     with deadline(past), pytest.raises(TimeoutError):
-        _content_has_roots(UnivariatePolynomial.from_roots([1, 3]), Q(2))
+        sturm_count(UnivariatePolynomial.from_roots([1, 3]), (0, Q(2)))
     # E is isolated already, so only the count in the window overlap can
     # notice the deadline: the interval (0, 143) straddles 9999/10000
     result = delta5_elimination()
@@ -264,11 +331,14 @@ def test_boundary_check_honours_its_deadline(expire_after):
         with deadline(time.monotonic() - 1), pytest.raises(TimeoutError) as info:
             boundary_check(meta_system(delta, HeightFunction.rho(delta)))
         assert info.traceback[-2].name == site
-    system = meta_system(3, HeightFunction.rho(3))
+    # each stratum takes one gcd; at delta 3 the strata's gcds are powers of
+    # t, isolated without a check, and at delta 5 the first stratum's gcd
+    # t^30 (t^6 - 1)^3 is isolated next: the clock runs out after that gcd,
+    # so only its isolation can notice it
+    system = meta_system(5, HeightFunction.rho(5))
     expected = boundary_check(system)
     with deadline(time.monotonic() + 600):
         assert boundary_check(system) == expected
-    # the clock runs out after the first gcd, so only the isolation can notice it
     expire_after(elimination, "dgcd")
     with deadline(time.monotonic() + 600), pytest.raises(TimeoutError) as info:
         boundary_check(system)
@@ -394,45 +464,53 @@ def test_outer_images_are_tilted(monkeypatch, height):
 
 
 def test_delta4_gcds_take_one_prime_each(monkeypatch):
-    # the squarefree gcds and the route gcd at delta 4 have coefficients of at
-    # most 21 bits and gamma = 1, so one prime below 2^30 decides each
+    # the squarefree gcds, the t-contents and the route gcd at delta 4 have
+    # coefficients of at most 21 bits and gamma = 1, so one prime below 2^30
+    # decides each; a constant operand decides a gcd without one
     primes, counts = [], []
     gcd_mod_p = realroots._gcd_mod_p
+    dgcd = elimination.dgcd
+    squarefree_part = elimination._SharedWork.squarefree_part
 
     def recorded(a, b, p):
         primes.append(p)
         return gcd_mod_p(a, b, p)
 
-    def counted(name):
-        fn = getattr(elimination, name)
+    def counted(name, expected, fn, *args):
+        start = len(primes)
+        out = fn(*args)
+        counts.append((name, len(set(primes[start:])), expected))
+        return out
 
-        def inner(*args):
-            start = len(primes)
-            out = fn(*args)
-            counts.append((name, len(primes) - start))
-            return out
-        monkeypatch.setattr(elimination, name, inner)
+    def counted_gcd(*operands):
+        return counted("dgcd", int(min(map(len, operands)) > 1), dgcd, *operands)
+
+    def computed_squarefree_part(work, ints):
+        if tuple(ints) in work.squarefree:
+            return squarefree_part(work, ints)
+        return counted("squarefree_part", 1, squarefree_part, work, ints)
 
     monkeypatch.setattr(realroots, "_gcd_mod_p", recorded)
-    counted("_compressed_squarefree")
-    counted("_compressed_gcd")
+    monkeypatch.setattr(elimination, "dgcd", counted_gcd)
+    monkeypatch.setattr(elimination._SharedWork, "squarefree_part", computed_squarefree_part)
     for height in (HeightFunction.rho(4), minimal_height(4)):
         eliminate_to_t(meta_system(4, height), refine=2)
-    assert {name for name, _ in counts} == {"_compressed_squarefree", "_compressed_gcd"}
-    assert all(n == 1 for _, n in counts) and all(p < 2 ** 30 for p in primes)
+    assert {name for name, _, _ in counts} == {"dgcd", "squarefree_part"}
+    assert all(n == expected for _, n, expected in counts) and all(p < 2 ** 30 for p in primes)
 
 
 def test_routes_share_projections_and_squarefree_parts(monkeypatch):
     # at delta 4 routes 0 and 2 square-free one operand, so two passes serve
     # three routes, and E comes back as its own squarefree part
     passes = []
-    squarefree = elimination._compressed_squarefree
+    squarefree_part = elimination._SharedWork.squarefree_part
 
-    def counted(ints):
-        passes.append(len(ints) - 1)
-        return squarefree(ints)
+    def counted(work, ints):
+        if tuple(ints) not in work.squarefree:
+            passes.append(len(ints) - 1)
+        return squarefree_part(work, ints)
 
-    monkeypatch.setattr(elimination, "_compressed_squarefree", counted)
+    monkeypatch.setattr(elimination._SharedWork, "squarefree_part", counted)
     result = eliminate_to_t(meta_system(4, HeightFunction.rho(4)), refine=2)
     assert passes == [186, 282] and result.refined_degrees == (144, 96)
     assert result.E.squarefree_part() is result.E

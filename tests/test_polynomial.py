@@ -68,6 +68,33 @@ def test_content_primitive():
     assert g.content() == 1
 
 
+def test_content_matches_the_fraction_computation():
+    # ints, Fractions, negative coefficients and the zero polynomial
+    from math import gcd, lcm
+
+    from wronski.rng import Stream
+
+    stream = Stream(0xC0471)
+    for case in range(200):
+        terms = {}
+        for _ in range(case % 7):
+            c = stream.int_in(-60, 60) * stream.int_in(1, 4)
+            terms[(stream.int_in(0, 3), stream.int_in(0, 3))] = \
+                Fraction(c, stream.int_in(1, 12)) if case % 3 else c
+        f = P(terms)
+        num, den = 0, 1
+        for c in f.terms.values():
+            q = Fraction(c)
+            num, den = gcd(num, abs(q.numerator)), lcm(den, q.denominator)
+        content = f.content()
+        assert type(content) is Fraction and content == Fraction(num, den), terms
+        if f.terms:
+            reduced = [c / content for c in f.terms.values()]
+            assert all(c.denominator == 1 for c in reduced)
+            assert gcd(*(c.numerator for c in reduced)) == 1
+    assert P({}).content() == 0
+
+
 def test_univariate_views():
     f = P({(2, 1): 3, (0, 1): 1, (1, 0): 2})
     coeffs = f.as_univariate("x")

@@ -1,3 +1,4 @@
+import functools
 import time
 from fractions import Fraction
 
@@ -6,9 +7,9 @@ import pytest
 from wronski import deadline, realroots
 from wronski.errors import DomainError
 from wronski.realroots import (CERTIFICATE_PRIMES, UnivariatePolynomial, _gcd_cofactor,
-                               count_real_roots, dmul, dstrip, isolate_real_roots,
-                               min_positive_real_root, refine_interval, root_bound,
-                               sturm_count)
+                               count_real_roots, ddiv_exact, dexpand, dgcd, dmul, dneg, dprem,
+                               dprimitive, dstrip, isolate_real_roots, min_positive_real_root,
+                               refine_interval, root_bound, sturm_count)
 from wronski.rng import Stream
 
 U = UnivariatePolynomial
@@ -546,6 +547,65 @@ def test_squarefree_part_reuses_the_gcd_cofactor(monkeypatch):
     p = U.from_roots([1, 1, 1, -2, -2, Fraction(1, 3)]) * U([1, 0, 1])
     assert p.squarefree_part() == U.from_roots([1, -2, Fraction(1, 3)]) * U([1, 0, 1])
     assert seen and len(seen) == len(set(seen))
+
+
+# -- exponent lattices ----------------------------------------------------------------
+
+
+def prs_gcd(a, b):
+    """Primitive gcd, positive leading coefficient, by the primitive PRS on the lists as given."""
+    a, b = dstrip(dprimitive(a)), dstrip(dprimitive(b))
+    while b:
+        a, b = b, dstrip(dprimitive(dprem(a, b)))
+    return dneg(a) if a and a[-1] < 0 else a
+
+
+def random_ints(stream, degree):
+    """A random integer list of the given degree, nonzero constant term, either sign on top."""
+    ints = [stream.nonzero_int(9)] + [stream.int_in(-9, 9) for _ in range(degree)]
+    ints[-1] = ints[-1] or stream.nonzero_int(9)
+    return ints
+
+
+def test_gcd_in_the_common_lattice_matches_the_uncompressed_fold():
+    # operands x^(g j) c(x^g) f_i(x^g) sharing the lattice g = 1..6, the first
+    # sometimes in a coarser one, among zero and constant operands
+    stream = Stream(0x1A771CE)
+    shared = 0
+    for case in range(120):
+        g = 1 + case % 6
+        common = random_ints(stream, stream.int_in(0, 3))
+        operands = []
+        for i in range(stream.int_in(2, 5)):
+            kind = stream.int_in(0, 9)
+            if kind == 0:
+                operands.append([])
+            elif kind == 1:
+                operands.append([stream.nonzero_int(5)])
+            else:
+                q = dmul(common, random_ints(stream, stream.int_in(0, 3)))
+                step = g * (stream.int_in(2, 3) if i == 0 and kind < 5 else 1)
+                operands.append(dexpand([0] * stream.int_in(0, 2) + q, step))
+        expected = []
+        for a in operands:
+            expected = prs_gcd(expected, a)
+        assert dgcd(*operands) == expected, (case, operands)
+        shared += len(expected) > 1
+    assert shared >= 40
+
+
+def test_squarefree_part_in_its_own_lattice_matches_the_uncompressed_cofactor():
+    # p = x^m q(x^g)^e against p / gcd(p, p'), taken without compression
+    stream = Stream(0x5F1A7)
+    for m in range(4):
+        for g in range(1, 5):
+            for e in range(1, 4):
+                q = random_ints(stream, stream.int_in(1, 3))
+                p = [0] * m + dexpand(functools.reduce(dmul, [q] * e), g)
+                derivative = dstrip([k * c for k, c in enumerate(p)][1:])
+                expected = dprimitive(ddiv_exact(p, prs_gcd(p, derivative)))
+                expected = dneg(expected) if expected[-1] < 0 else expected
+                assert U(p).squarefree_part().coeffs == expected, (m, g, e, q)
 
 
 # -- the Bernstein subdivision against the full tree of the power basis -----------------
