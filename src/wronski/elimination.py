@@ -21,14 +21,21 @@ nonreal x, y.  Two honest strengthenings are implemented:
 Pairs of plane curves take an integer path instead: each curve becomes an
 integer grid once, each shear x <- x + s y expands it into integer rows, and
 the y-resultant is interpolated exactly from integer values at mn + 1
-abscissas (`resultants.interpolated_resultant`).
+abscissas (`resultants.interpolated_resultant`).  Before the shear search the
+count tilts both grids p-adically (`_tilted`) into those of F(lambda x, mu y)
+and G(lambda x, mu y) for rationals lambda, mu > 0: the scaling maps real
+intersection points one to one onto the curves' own, so counts and degrees
+are unchanged, and on patchworked curves it more than halves the resultant's
+coefficients.  `sheared_resultant` stays untilted, in the curves' own
+coordinates, where plot markers are placed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
+from operator import mul
 
 from .errors import DegenerateInstanceError, DomainError, EliminationError
 from .polynomial import Polynomial
@@ -377,19 +384,24 @@ def certify_elimination(result: EliminationResult, t_upper=None) -> Certificate:
 def count_real_intersections(f: Polynomial, g: Polynomial, seed: int = 0):
     """Count distinct real affine intersection points of two plane curves.
 
-    The count runs on integers from the shear to the resultant: each curve
-    is cleared of denominators once (`_integer_grid`), each shear is
-    expanded into integer rows (`_sheared_rows`), and the y-resultant u is
-    interpolated from integer values (`resultants.interpolated_resultant`).
-    On the shear found by sheared_resultant every root of u carries exactly
-    one simple intersection point, and complex conjugation forces the point
-    over a real root to be real, so the count of real roots of u is the
-    count of real intersection points.  Returns (count, degree of u);
+    The count runs on integers from the shear to the resultant: both curves
+    are tilted p-adically and cleared of denominators once (`_tilted`), each
+    shear is expanded into integer rows (`_sheared_rows`), and the
+    y-resultant u is interpolated from integer values
+    (`resultants.interpolated_resultant`).  The tilted grids are those of
+    F(lambda x, mu y) and G(lambda x, mu y) for rationals lambda, mu > 0:
+    (x, y) -> (lambda x, mu y) maps their intersection points one to one onto
+    the curves' own, and real ones onto real ones, so the count and the
+    degree of u are those of the untilted curves while u's coefficients
+    shrink.  On the shear found by the shear search every root of u carries
+    exactly one simple intersection point, and complex conjugation forces
+    the point over a real root to be real, so the count of real roots of u
+    is the count of real intersection points.  Returns (count, degree of u);
     (0, 0) when the curves do not meet.
     """
     if f.is_zero() or g.is_zero() or f.is_constant() or g.is_constant():
         raise DomainError("counting needs two nonconstant curves")
-    u = sheared_resultant(f, g, seed)[3]
+    u = _shear_search(_tilted(f, g)[0], seed)[3]
     return (count_real_roots(u), u.degree())
 
 
@@ -408,19 +420,17 @@ def sheared_resultant(f: Polynomial, g: Polynomial, seed: int = 0):
     resultant computed vanished (a shared component) and
     DegenerateInstanceError when no shear was usable otherwise.
     """
-    stream = Stream(derive_seed(seed, 0x5EA2))
-    shears = []
-    while len(shears) < 8:
-        s = stream.nonzero_int(9)
-        if s not in shears:
-            shears.append(s)
-    grids = [_integer_grid(p) for p in (f, g)]
-    degrees = [max((i + j for i, j in grid), default=-1) for grid in grids]
+    return _shear_search([_integer_grid(p) for p in (f, g)], seed)
+
+
+def _shear_search(grids, seed: int):
+    """sheared_resultant on the integer grids of the two curves."""
+    degrees = [max(map(sum, grid), default=-1) for grid in grids]
     if min(degrees) < 1:
         raise DegenerateInstanceError("degenerate instance: a curve is constant")
     computed = 0
     zero_count = 0
-    for s in shears:
+    for s in _shears(seed):
         A, B = (_sheared_rows(grid, m, s) for grid, m in zip(grids, degrees))
         if not (A[-1] and B[-1]):
             continue
@@ -436,22 +446,196 @@ def sheared_resultant(f: Polynomial, g: Polynomial, seed: int = 0):
     raise DegenerateInstanceError("degenerate instance: resultant never squarefree")
 
 
+def _shears(seed: int):
+    """Eight distinct nonzero shears in [-9, 9] from the seed, drawn as they are needed."""
+    stream = Stream(derive_seed(seed, 0x5EA2))
+    drawn = []
+    while len(drawn) < 8:
+        s = stream.nonzero_int(9)
+        if s not in drawn:
+            drawn.append(s)
+            yield s
+
+
 def _integer_grid(p: Polynomial):
     """{(i, j): a_ij} with sum a_ij x^i y^j the primitive integer multiple of a plane curve.
 
     The multiple is den / num for den the lcm of the denominators and num the
     gcd of the numerators; a third variable that occurs raises DomainError.
     """
+    return _primitive_grid(_plane_terms(p))
+
+
+def _plane_terms(p: Polynomial):
+    """{(i, j): c_ij} with p = sum c_ij x^i y^j; a third variable that occurs raises DomainError."""
+    if p.vars == ("x", "y"):
+        return p.terms
     at = {v: i for i, v in enumerate(p.vars)}
     ix, iy = at.pop("x", None), at.pop("y", None)
-    grid = {}
-    for e, a in p.terms.items():
+    terms = {}
+    for e, c in p.terms.items():
         if any(e[i] for i in at.values()):
             raise DomainError("a plane curve lives in x and y alone")
-        grid[(0 if ix is None else e[ix], 0 if iy is None else e[iy])] = a
-    den = lcm(*(a.denominator for a in grid.values()))
-    num = gcd(*(a.numerator for a in grid.values()))
-    return {e: a.numerator * (den // a.denominator) // num for e, a in grid.items()}
+        terms[(0 if ix is None else e[ix], 0 if iy is None else e[iy])] = c
+    return terms
+
+
+def _primitive_grid(terms, rows=None, cols=None):
+    """The primitive integer multiple of sum c_ij rows[i] cols[j] x^i y^j as a grid.
+
+    rows and cols hold positive integers, all 1 when they are None.
+    """
+    den = lcm(*[c.denominator for c in terms.values()])
+    if rows is None:
+        num = gcd(*[c.numerator for c in terms.values()])
+        return {e: c.numerator * (den // c.denominator) // num for e, c in terms.items()}
+    scaled = [c.numerator * (den // c.denominator) * rows[i] * cols[j]
+              for (i, j), c in terms.items()]
+    content = gcd(*scaled)
+    return dict(zip(terms, [a // content for a in scaled]))
+
+
+# The primes below 128 and their product, written out so that importing
+# computes nothing.  A prime outside the table is not tilted: that costs size,
+# never exactness.
+_TILT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+                73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127)
+_TILT_PRIMORIAL = 4014476939333036189094441199026045136645885247730
+
+
+def _tilted(f: Polynomial, g: Polynomial):
+    """The integer grids of two plane curves, tilted one prime at a time, and the tilts.
+
+    Returns (grids, ((p, a_p, b_p), ...)): the primitive integer grids of
+    F(lambda x, mu y) and G(lambda x, mu y), lambda = prod p^a_p and
+    mu = prod p^b_p.  A tilt adds a_p i + b_p j to every valuation of p at
+    (i, j).  For patchworked curves (coefficients c t^omega(i, j)) the
+    valuations of t's primes carry a trend linear in (i, j), and removing it
+    (Viro's patchworking, read one prime at a time) shrinks every entry.  A
+    prime's spread in a grid is its largest valuation minus its least.
+
+    * The tilt is the least-squares plane of both curves' valuations at the
+      extreme points X of the joint support (the lexicographic least and
+      largest points in (i, j) and in (j, i)), slopes rounded and negated;
+      a collinear X gives none.
+    * Exact skip.  Every nonzero integer (a, b) spreads a i + b j over X by
+      at least W = min(h, v), h and v the longest horizontal and vertical
+      chords in X (a chord of length h shows |a| h).  So a tilt leaves a
+      spread V over X at least W - V, and lowers it only when V > W / 2;
+      other primes are skipped.  Candidates divide a numerator or a
+      denominator at X: one gcd with the table's product finds them.
+    * A tilt is kept only when no entry of either tilted grid is divisible
+      by p^V: the prime's spread is then below V, and so below its untilted
+      spread.  A prime's valuations after the tilt depend on its own tilt
+      alone, so one more pass without the rejected primes is final.
+    """
+    terms = [_plane_terms(f), _plane_terms(g)]
+    keys = terms[0].keys() | terms[1].keys()
+    swapped = [(j, i) for i, j in keys]
+    (j0, i0), (j1, i1) = min(swapped), max(swapped)
+    X = sorted({min(keys), max(keys), (i0, j0), (i1, j1)})
+    at_x = [t.get(e, 0) for t in terms for e in X]
+    # fewer than three extreme points fix no plane, and a curve with no term at X no valuation
+    tilts = _tilts(X, at_x) if len(X) > 2 and 0 not in at_x else []
+    while tilts:
+        scale = [1, 1, 1, 1]  # lambda = scale[0] / scale[1], mu = scale[2] / scale[3]
+        for p, a, b, _, _ in tilts:
+            scale[a < 0] *= p ** abs(a)
+            scale[2 + (b < 0)] *= p ** abs(b)
+        # times the denominators of lambda^top_i and mu^top_j, every factor is an integer
+        rows, cols = _powers(scale[0], scale[1], max(keys)[0]), _powers(scale[2], scale[3], j1)
+        F, G = _primitive_grid(terms[0], rows, cols), _primitive_grid(terms[1], rows, cols)
+        kept = [t for t in tilts if 0 not in [a % t[3] for a in F.values()]
+                and 0 not in [a % t[4] for a in G.values()]]
+        if len(kept) == len(tilts):
+            return [F, G], tuple(t[:3] for t in tilts)
+        tilts = kept
+    return [_primitive_grid(t) for t in terms], ()
+
+
+def _powers(a: int, b: int, top: int):
+    """[a^i b^(top - i) for i = 0, ..., top]."""
+    out = [b ** top]
+    for _ in range(top):
+        out.append(out[-1] // b * a)
+    return out
+
+
+def _tilts(X, at_x):
+    """[(p, a_p, b_p, p^V in F, p^V in G), ...] read off the coefficients at_x at X.
+
+    at_x lists both curves' nonzero coefficients at the sorted extreme points
+    X, curve by curve; see `_tilted`.
+    """
+    n = len(X)
+    nums = [c.numerator for c in at_x]
+    dens = [c.denominator for c in at_x]
+    # the exponent of p in norms[k] bounds p's spread over X in curve k from above
+    norms = [prod(nums[:n]) * prod(dens[:n]), prod(nums[n:]) * prod(dens[n:])]
+    candidates = gcd(_TILT_PRIMORIAL, *norms)
+    if candidates == 1:
+        return []
+    # least squares: for values v of both curves at X, the plane of their sums
+    # has the slopes (n sum i v - si sum v, n sum j v - sj sum v) [[sjj, -sij],
+    # [-sij, sii]] / det, twice each curve's; det is zero exactly when X is collinear
+    si = sj = sii = sjj = sij = 0
+    for i, j in X:
+        si, sj, sii, sjj, sij = si + i, sj + j, sii + i * i, sjj + j * j, sij + i * j
+    sii, sjj, sij = n * sii - si * si, n * sjj - sj * sj, n * sij - si * sj
+    det = sii * sjj - sij * sij
+    if not det:
+        return []
+    xi, xj = [i for i, _ in X] * 2, [j for _, j in X] * 2
+    # W = min(h, v) for the longest horizontal and vertical chords h and v in X
+    h = v = 0
+    for i, j in X:
+        for k, l in X:
+            if j == l:
+                h = max(h, k - i)
+            elif i == k:
+                v = max(v, l - j)
+    half = min(h, v) // 2
+    tilts = []
+    for p in _TILT_PRIMES:
+        if candidates == 1:
+            break
+        if candidates % p:
+            continue
+        candidates //= p
+        bar = p ** (half + 1)
+        if norms[0] % bar or norms[1] % bar:
+            continue
+        if p == 2:
+            vals = [(a & -a).bit_length() - (b & -b).bit_length() for a, b in zip(nums, dens)]
+        else:
+            vals = [_valuation(a, p) if not a % p else -_valuation(b, p) if not b % p else 0
+                    for a, b in zip(nums, dens)]
+        v0, v1 = vals[:n], vals[n:]
+        spread0, spread1 = max(v0) - min(v0), max(v1) - min(v1)
+        if min(spread0, spread1) > half:
+            sv = sum(vals)
+            siv, sjv = n * sum(map(mul, xi, vals)) - si * sv, n * sum(map(mul, xj, vals)) - sj * sv
+            # each curve's fitted slopes, negated and rounded to the nearest integer
+            a = -((siv * sjj - sjv * sij + det) // (2 * det))
+            b = -((sjv * sii - siv * sij + det) // (2 * det))
+            if a or b:
+                tilts.append((p, a, b, p ** spread0, p ** spread1))
+    return tilts
+
+
+def _valuation(a: int, p: int) -> int:
+    """The exponent of the odd prime p in the nonzero integer a, in steps of p^k < 2^30."""
+    k = 30 // p.bit_length()
+    q = p ** k
+    v = 0
+    a, r = divmod(a, q)
+    while not r:
+        v += k
+        a, r = divmod(a, q)
+    while not r % p:
+        r //= p
+        v += 1
+    return v
 
 
 def _sheared_rows(grid, m: int, s: int):

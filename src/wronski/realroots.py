@@ -474,14 +474,6 @@ class UnivariatePolynomial:
         p._sf = p
         return p
 
-    @classmethod
-    def from_roots(cls, roots):
-        """prod (d x - n) over the roots n / d: the monic product times a positive integer."""
-        out = [1]
-        for r in map(Fraction, roots):
-            out = dmul(out, [-r.numerator, r.denominator])
-        return cls(out)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

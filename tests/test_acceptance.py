@@ -28,6 +28,8 @@ from wronski.resultants import resultant, sylvester_resultant
 from wronski.rng import Stream
 from wronski.systems import meta_system, meta_system_from_points, wronski_pair
 
+from planted import from_roots
+
 
 def _report(num: int, ok: bool, text: str):
     print(f"\nCRITERION {num}: {'PASS' if ok else 'FAIL'} - {text}")
@@ -200,7 +202,7 @@ def test_criterion_10_oracle_suites():
         roots = set()
         while len(roots) < k:
             roots.add(Q(stream.int_in(-24, 24), stream.int_in(1, 10)))
-        p = UnivariatePolynomial.from_roots(sorted(roots))
+        p = from_roots(sorted(roots))
         if stream.int_in(0, 1):
             a, b, c = stream.int_in(1, 4), stream.int_in(-4, 4), stream.int_in(2, 9)
             while b * b - 4 * a * c >= 0:

@@ -31,3 +31,26 @@ def test_elimination_leaves_lattices_and_contents_to_realroots():
                 if isinstance(node, (ast.Import, ast.ImportFrom))
                 for alias in node.names if alias.name.split(".")[-1] in kernels]
     assert imported == []
+
+
+# calls that run when the package is imported, by module: anything else computed
+# at import (a prime table, say) is paid in every process's start-up
+IMPORT_TIME_CALLS = {
+    ("errors.py", "ContextVar"),  # the deadline scope
+    ("harness.py", "Fraction"),  # T_ZERO_BAND
+    ("__init__.py", "dir"), ("__init__.py", "name.startswith"),  # __all__
+    ("cli.py", "sys.exit"), ("cli.py", "main"),  # only under `if __name__ == "__main__"`
+}
+
+
+def test_modules_compute_nothing_at_import():
+    # every call in a module-level statement other than a function or class
+    # definition, named by its callee
+    found = set()
+    for path in sorted(Path(wronski.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            found |= {(path.name, ast.unparse(node.func)) for node in ast.walk(stmt)
+                      if isinstance(node, ast.Call)}
+    assert found <= IMPORT_TIME_CALLS, sorted(found - IMPORT_TIME_CALLS)

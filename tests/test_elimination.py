@@ -21,6 +21,8 @@ from wronski.resultants import resultant
 from wronski.rng import Stream
 from wronski.systems import meta_system, meta_system_from_points
 
+from planted import from_roots
+
 
 def hexagon_meta():
     hexa = hexagon_example()
@@ -303,7 +305,7 @@ def test_root_candidates_and_certificates_honor_deadline():
 def test_window_counts_and_certificates_pass_their_deadline(expire_after):
     past = time.monotonic() - 1
     with deadline(past), pytest.raises(TimeoutError):
-        sturm_count(UnivariatePolynomial.from_roots([1, 3]), (0, Q(2)))
+        sturm_count(from_roots([1, 3]), (0, Q(2)))
     # E is isolated already, so only the count in the window overlap can
     # notice the deadline: the interval (0, 143) straddles 9999/10000
     result = delta5_elimination()
@@ -599,7 +601,7 @@ def test_candidates_by_rank_match_the_per_interval_rule():
     for case in range(20):
         roots = [random_rational_roots(stream, stream.int_in(1, 5))
                  for _ in range(stream.int_in(1, 3))]
-        E, *contents = map(UnivariatePolynomial.from_roots, roots)
+        E, *contents = map(from_roots, roots)
         if case % 3 == 0:
             E = E * UnivariatePolynomial([-2, 0, 1])
         result = EliminationResult(E, E.degree(), case % 2, tuple(contents), 0, (0, 0), ())

@@ -14,6 +14,8 @@ from wronski.heights import HeightFunction, minimal_height
 from wronski.plotting import marching_squares, plot_pair
 from wronski.polynomial import Polynomial
 
+from planted import from_roots
+
 XY = ("x", "y")
 
 
@@ -163,12 +165,11 @@ def test_meta_report_min_positive_root_is_the_first_positive_candidate(monkeypat
     # stripped power of t adds the candidate t = 0
     from wronski import harness
     from wronski.elimination import EliminationResult
-    from wronski.realroots import (IsolatingInterval, UnivariatePolynomial, isolate_real_roots,
-                                   min_positive_real_root)
+    from wronski.realroots import IsolatingInterval, isolate_real_roots, min_positive_real_root
 
     # (E, index of its least positive root's interval, that interval, nonzero roots)
-    cases = ((UnivariatePolynomial.from_roots([Q(1, 2), Q(3, 2)]), 0, (Q(0), Q(3, 4)), 2),
-             (UnivariatePolynomial.from_roots([-3, 0, 1, 2]), 2, (Q(1), Q(1)), 3))
+    cases = ((from_roots([Q(1, 2), Q(3, 2)]), 0, (Q(0), Q(3, 4)), 2),
+             (from_roots([-3, 0, 1, 2]), 2, (Q(1), Q(1)), 3))
     for E, k, (lo, hi), nonzero in cases:
         assert isolate_real_roots(E)[k] == IsolatingInterval(lo, hi)
         result = EliminationResult(E, E.degree(), 1, (), 0, (0, 0), ())

@@ -1,14 +1,18 @@
+import functools
+import math
 from fractions import Fraction as Q
 
 import pytest
 
-from wronski.elimination import _integer_grid, count_real_intersections, sheared_resultant
+from wronski import elimination
+from wronski.elimination import (_integer_grid, _shear_search, _tilted, count_real_intersections,
+                                 sheared_resultant)
 from wronski.errors import DegenerateInstanceError, DomainError, EliminationError
 from wronski.heights import HeightFunction
 from wronski.lattice import hexagon_example
 from wronski.plotting import exact_intersection_markers
 from wronski.polynomial import Polynomial
-from wronski.realroots import UnivariatePolynomial
+from wronski.realroots import UnivariatePolynomial, count_real_roots
 from wronski.resultants import resultant
 from wronski.rng import Stream, derive_seed
 from wronski.systems import wronski_from_points, wronski_pair
@@ -218,3 +222,122 @@ def test_integer_grid_matches_the_polynomial_oracle():
             for grid in (_integer_grid, _polynomial_integer_grid):
                 with pytest.raises(DomainError, match="x and y alone"):
                     grid(third)
+
+
+TABLE_PRIMES = [p for p in range(2, 128) if all(p % q for q in range(2, p))]
+PRIMES_TO_200 = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+
+
+@functools.lru_cache(maxsize=None)
+def _tilt_family():
+    """(label, f, g, seed) for the tilt tests: seeded rho pairs at delta 2-7 with
+    t = +-m/100, t = 49/50 and t = 131/100 (131 is prime and above the table),
+    hexagon pairs and the four figure pairs."""
+    stream = Stream(0x7117)
+    cases = []
+    for delta, n in ((2, 4), (3, 4), (4, 3), (5, 3), (6, 2), (7, 1)):
+        for k in range(n):
+            t = Q(stream.int_in(1, 99), 100) * (1 if stream.int_in(0, 1) else -1)
+            cases.append((f"rho {delta} t={t}", delta, t))
+    for delta in (3, 4):
+        cases.append((f"rho {delta} t=49/50", delta, Q(49, 50)))
+        cases.append((f"rho {delta} t=131/100", delta, Q(131, 100)))
+    out = []
+    for label, delta, t in cases:
+        pair = wronski_pair(delta, HeightFunction.rho(delta), _random_c(stream), _random_c(stream), t)
+        out.append((label, *pair.polys, len(out)))
+    hexa = hexagon_example()
+    for k in range(3):
+        t = Q(stream.int_in(1, 2 ** 20), 2 ** 21) * (1 if k % 2 else -1)
+        c = [Q(stream.int_in(-50 * 64, 50 * 64) or 1, 64) for _ in range(6)]
+        pair = [wronski_from_points(hexa.points, hexa.coloring, hexa.heights, cs, t=t)
+                for cs in (c[:3], c[3:])]
+        out.append((f"hexagon t={t}", *pair, k))
+    for delta, c, cp, t, _ in FIGURE_CASES:
+        out.append((f"figure {delta} t={t}", *_figure_pair(delta, c, cp, t), 0))
+    return tuple(out)
+
+
+def _valuation(a, p):
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    return v
+
+
+def _spreads(grid):
+    """{p: largest minus least valuation of p over the grid} for the primes below 200."""
+    out = {}
+    for p in PRIMES_TO_200:
+        vals = [_valuation(a, p) for a in grid.values()]
+        out[p] = max(vals) - min(vals)
+    return out
+
+
+def test_tilt_keeps_counts_and_degrees():
+    # the count on the tilted grids against the untilted shear search and root count
+    checked = 0
+    for label, f, g, seed in _tilt_family():
+        try:
+            u = sheared_resultant(f, g, seed)[3]
+        except DegenerateInstanceError:
+            continue
+        assert count_real_intersections(f, g, seed) == (count_real_roots(u), u.degree()), label
+        checked += 1
+    assert checked >= 25
+
+
+def test_tilted_grids_are_the_scaled_curves():
+    # both grids are those of F(lambda x, mu y), G(lambda x, mu y) for the reported tilt
+    x = Polynomial.variable("x", XY)
+    y = Polynomial.variable("y", XY)
+    tilted = 0
+    for label, f, g, _ in _tilt_family():
+        grids, tilts = _tilted(f, g)
+        lam = mu = Q(1)
+        for p, a, b in tilts:
+            assert p in TABLE_PRIMES and (a, b) != (0, 0), label
+            lam *= Q(p) ** a
+            mu *= Q(p) ** b
+        scaled = [p.substitute({"x": lam * x, "y": mu * y}) for p in (f, g)]
+        assert grids == [_polynomial_integer_grid(p) for p in scaled], label
+        tilted += bool(tilts)
+    assert tilted >= 20
+
+
+def test_tilt_never_raises_a_spread():
+    # per prime and grid the spread never grows, and shrinks for every tilted
+    # prime; with no prime to tilt the grids come back unchanged
+    untouched = 0
+    for label, f, g, _ in _tilt_family():
+        grids, tilts = _tilted(f, g)
+        before = [_spreads(_integer_grid(p)) for p in (f, g)]
+        after = [_spreads(grid) for grid in grids]
+        primes = {p for p, _, _ in tilts}
+        for old, new in zip(before, after):
+            for p in PRIMES_TO_200:
+                assert new[p] < old[p] if p in primes else new[p] == old[p], (label, p)
+        if not tilts:
+            assert grids == [_integer_grid(p) for p in (f, g)], label
+            untouched += 1
+        if "131/100" in label:
+            assert 131 not in primes and before[0][131] > 0, label
+    assert untouched >= 3  # the hexagon pairs: their extreme points (0, 0), (2, 2) fix no plane
+
+
+def test_tilt_shrinks_the_figure_resultants():
+    # the resultant of the first usable shear, untilted and tilted, in bits
+    def bits(u):
+        return max(abs(c).bit_length() for c in u.coeffs)
+
+    for (delta, c, cp, t, _), untilted, bound in zip(FIGURE_CASES, (379, 640), (200, 300)):
+        f, g = _figure_pair(delta, c, cp, t)
+        assert bits(sheared_resultant(f, g)[3]) == untilted
+        assert bits(_shear_search(_tilted(f, g)[0], 0)[3]) <= bound
+
+
+def test_tilt_table():
+    # the literal tables are the primes below 128 and their product
+    assert list(elimination._TILT_PRIMES) == TABLE_PRIMES
+    assert elimination._TILT_PRIMORIAL == math.prod(TABLE_PRIMES)

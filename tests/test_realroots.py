@@ -12,6 +12,8 @@ from wronski.realroots import (CERTIFICATE_PRIMES, UnivariatePolynomial, _gcd_co
                                refine_interval, root_bound, sturm_count)
 from wronski.rng import Stream
 
+from planted import from_roots
+
 U = UnivariatePolynomial
 
 
@@ -28,7 +30,7 @@ isolation = pytest.mark.usefixtures("ten_second_run")
 def test_sturm_examples():
     assert sturm_count(U([-2, 0, 1]), (0, 2)) == 1
     assert sturm_count(U([1, 0, 1]), (-10, 10)) == 0
-    five = U.from_roots([1, 2, 3, 4, 5])
+    five = from_roots([1, 2, 3, 4, 5])
     assert sturm_count(five, (0, 6)) == 5
 
 
@@ -38,7 +40,7 @@ def test_sturm_zero_polynomial_rejected():
 
 
 def test_sturm_half_open_convention():
-    p = U.from_roots([1, 2])
+    p = from_roots([1, 2])
     assert sturm_count(p, (1, 2)) == 1        # 1 excluded, 2 included
     assert sturm_count(p, (0, 1)) == 1
     assert sturm_count(p, (2, 3)) == 0
@@ -46,12 +48,12 @@ def test_sturm_half_open_convention():
 
 
 def test_sturm_left_endpoint_root_is_excluded():
-    p = U.from_roots([0, 1])
+    p = from_roots([0, 1])
     assert sturm_count(p, (0, 2)) == 1
 
 
 def test_sturm_counts_distinct_roots():
-    p = U.from_roots([2, 2, 2, 5])
+    p = from_roots([2, 2, 2, 5])
     assert sturm_count(p, (0, 10)) == 2
 
 
@@ -66,7 +68,7 @@ def test_sturm_constructed_oracle():
             if r not in seen:
                 seen.add(r)
                 roots.append(r)
-        p = U.from_roots(roots)
+        p = from_roots(roots)
         for _ in range(stream.int_in(0, 2)):  # real-root-free quadratic factors
             a = stream.int_in(1, 5)
             b = stream.int_in(-5, 5)
@@ -104,7 +106,7 @@ def test_isolation_recovers_constructed_roots():
     for _ in range(25):
         roots = sorted({Fraction(stream.int_in(-20, 20), stream.int_in(1, 8))
                         for _ in range(8)})
-        p = U.from_roots(roots)
+        p = from_roots(roots)
         ivs = isolate_real_roots(p)
         assert len(ivs) == len(roots)
         for iv, r in zip(ivs, roots):
@@ -117,7 +119,7 @@ def test_isolation_recovers_constructed_roots():
 
 @isolation
 def test_isolation_rational_roots_found_exactly():
-    p = U.from_roots([Fraction(1, 2), 3]) * U([1, 0, 1])
+    p = from_roots([Fraction(1, 2), 3]) * U([1, 0, 1])
     ivs = isolate_real_roots(p)
     # bisection midpoints hit 1/2 only by luck; both roots must still be isolated
     assert len(ivs) == 2
@@ -172,17 +174,17 @@ def _isolation_family():
     """
     stream = Stream(14)
     family = [
-        U.from_roots([1, 2, 3, 4, 5]),  # adjacent exact dyadic roots
-        U.from_roots([Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10 ** 30), 7]) * U([5, -4, 1]),
-        U.from_roots([Fraction(1, 2), -3]) * U([2 ** 80 + 1, 0, 1]),  # Cauchy bound near 2^80
-        U.from_roots([2, 2, Fraction(-5, 4)]) * U([6]) * U([1, 1, 1]),  # content 6, a square
+        from_roots([1, 2, 3, 4, 5]),  # adjacent exact dyadic roots
+        from_roots([Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10 ** 30), 7]) * U([5, -4, 1]),
+        from_roots([Fraction(1, 2), -3]) * U([2 ** 80 + 1, 0, 1]),  # Cauchy bound near 2^80
+        from_roots([2, 2, Fraction(-5, 4)]) * U([6]) * U([1, 1, 1]),  # content 6, a square
     ]
     for _ in range(6):  # 80-bit coefficients
         family.append(U([stream.int_in(-2 ** 80, 2 ** 80) for _ in range(stream.int_in(2, 9))]))
     for _ in range(14):
         roots = [Fraction(stream.int_in(-40, 40), stream.int_in(1, 4))
                  for _ in range(stream.int_in(2, 6))]
-        family.append(U.from_roots(roots) * U([stream.int_in(1, 9), stream.int_in(-3, 3),
+        family.append(from_roots(roots) * U([stream.int_in(1, 9), stream.int_in(-3, 3),
                                                stream.int_in(1, 9)]))
     return family
 
@@ -217,14 +219,14 @@ def test_min_positive_real_root():
     iv = min_positive_real_root(U([-1, 0, 1]))
     assert iv.width() <= Fraction(1, 10000)
     assert iv.lo <= 1 <= iv.hi or abs(iv.midpoint() - 1) < Fraction(1, 1000)
-    p = U.from_roots([-3, Fraction(1, 4), 2])
+    p = from_roots([-3, Fraction(1, 4), 2])
     iv = min_positive_real_root(p)
     assert iv.lo < Fraction(1, 4) < iv.hi or iv.is_point
 
 
 @isolation
 def test_min_positive_ignores_zero_root():
-    p = U.from_roots([0, 0, Fraction(3, 7)])
+    p = from_roots([0, 0, Fraction(3, 7)])
     iv = min_positive_real_root(p)
     assert iv is not None
     assert iv.hi <= 1 and iv.lo >= 0
@@ -237,22 +239,22 @@ def test_min_positive_root_is_ranked_past_zero():
     # a root at 0 and the exact roots 1 and 2; then a least positive root
     # isolated by (0, 3/4), next to the exact root 3/2; then (-17/4, 0)
     # ends at 0 and holds the negative root -2
-    assert min_positive_real_root(U.from_roots([-3, 0, 1, 2])) == \
+    assert min_positive_real_root(from_roots([-3, 0, 1, 2])) == \
         realroots.IsolatingInterval(Fraction(1), Fraction(1))
     for roots, hi in (([Fraction(1, 2), Fraction(3, 2)], Fraction(3, 4)),
                       ([-2, Fraction(1, 2), Fraction(3, 2)], Fraction(17, 16))):
-        p = U.from_roots(roots)
+        p = from_roots(roots)
         assert realroots.IsolatingInterval(Fraction(0), hi) in isolate_real_roots(p)
         iv = min_positive_real_root(p)
         assert 0 <= iv.lo < Fraction(1, 2) < iv.hi <= hi and iv.width() <= Fraction(1, 10000)
-    assert min_positive_real_root(U.from_roots([-2, 0])) is None
+    assert min_positive_real_root(from_roots([-2, 0])) is None
 
 
 def test_root_bound_contains_all_roots():
     stream = Stream(0xB0)
     for _ in range(30):
         roots = [Fraction(stream.int_in(-40, 40), stream.int_in(1, 6)) for _ in range(4)]
-        p = U.from_roots(roots)
+        p = from_roots(roots)
         b = root_bound(p)
         assert all(abs(r) < b for r in roots)
 
@@ -261,7 +263,7 @@ def test_root_bound_contains_all_roots():
 def test_isolation_closed_interval_invariant():
     # each returned closed interval must contain exactly one distinct root,
     # even when another root sits near a bisection breakpoint
-    p = U.from_roots([0, 0, Fraction(3, 7), 1])
+    p = from_roots([0, 0, Fraction(3, 7), 1])
     ivs = isolate_real_roots(p)
     assert len(ivs) == 3
     for iv in ivs:
@@ -271,7 +273,7 @@ def test_isolation_closed_interval_invariant():
 
 
 def test_squarefree_part_and_flag():
-    p = U.from_roots([1, 1, 2])
+    p = from_roots([1, 1, 2])
     sf = p.squarefree_part()
     assert sf.degree() == 2
     assert not p.is_squarefree()
@@ -280,7 +282,7 @@ def test_squarefree_part_and_flag():
 
 @isolation
 def test_squarefree_part_is_kept_and_reused():
-    p = U.from_roots([1, 1, 2, Fraction(1, 3)])
+    p = from_roots([1, 1, 2, Fraction(1, 3)])
     sf = p.squarefree_part()
     assert p.squarefree_part() is sf and sf.squarefree_part() is sf
     assert sf == U([-2, 9, -10, 3])
@@ -322,7 +324,7 @@ BIG = 2 ** 500
     ([], [[1, 0, 1], [BIG, 1, BIG]]),
 ])
 def test_descartes_count_on_planted_roots(roots, extra):
-    p = U.from_roots(roots)
+    p = from_roots(roots)
     for q in extra:
         p = p * U(q)
     distinct = sorted(set(roots))
@@ -437,7 +439,7 @@ def test_counts_and_primes_match_sympy():
         roots = [Fraction(stream.int_in(-40, 40), stream.int_in(1, 9))
                  for _ in range(stream.int_in(0, 5))]
         noise = [stream.int_in(-2 ** 30, 2 ** 30) for _ in range(stream.int_in(1, 7))]
-        p = U.from_roots(roots) * U(noise or [1])
+        p = from_roots(roots) * U(noise or [1])
         if p.is_zero():
             continue
         ints = p.int_primitive()
@@ -452,10 +454,10 @@ def test_counts_and_primes_match_sympy():
 def test_isolation_does_not_depend_on_scale_or_sign():
     # signs are taken from an integer multiple of p by a positive number, so
     # the intervals of p, -p and rational multiples of p must agree
-    p = U.from_roots([Fraction(1, 2), 0, -3, Fraction(7, 4)]) * U([-2, 0, 1]) * U([1, 1, 1])
+    p = from_roots([Fraction(1, 2), 0, -3, Fraction(7, 4)]) * U([-2, 0, 1]) * U([1, 1, 1])
     ivs = isolate_real_roots(p)
     assert len(ivs) == 6 and [iv.lo for iv in ivs if iv.is_point] == [0]
-    for q in (-p, p * Fraction(-5, 3), U.from_roots([Fraction(7, 4)]) * p):
+    for q in (-p, p * Fraction(-5, 3), from_roots([Fraction(7, 4)]) * p):
         assert [(iv.lo, iv.hi) for iv in isolate_real_roots(q)] == [(iv.lo, iv.hi) for iv in ivs]
         for iv in ivs:
             assert refine_interval(q, iv, Fraction(1, 2 ** 20)) == \
@@ -475,7 +477,7 @@ def test_isolation_is_kept_once_computed(monkeypatch):
         return isolate(p)
 
     monkeypatch.setattr(realroots, "_isolate", counted)
-    p = U.from_roots([1, 2, Fraction(5, 3)]) * U([-2, 0, 1])
+    p = from_roots([1, 2, Fraction(5, 3)]) * U([-2, 0, 1])
     first = isolate_real_roots(p)
     first.clear()  # the caller's list is its own
     assert isolate_real_roots(p) == isolate_real_roots(U(p.coeffs))
@@ -485,7 +487,7 @@ def test_isolation_is_kept_once_computed(monkeypatch):
 
 def test_counts_honor_deadline():
     past = time.monotonic() - 1
-    p = U.from_roots([1, 2, 3, Fraction(1, 3)]) * U([-2, 0, 1])
+    p = from_roots([1, 2, 3, Fraction(1, 3)]) * U([-2, 0, 1])
     counters = (count_real_roots, lambda p: sturm_count(p, (0, 2)))
     for count, expected in zip(counters, (6, 4)):  # 1/3, 1, sqrt 2 and 2 in (0, 2]
         q = U(p.coeffs)
@@ -502,7 +504,7 @@ def test_counts_honor_deadline():
 @isolation
 def test_isolation_and_refinement_honor_deadline():
     past = time.monotonic() - 1
-    p = U.from_roots([1, 2, 3, Fraction(1, 3)]) * U([-2, 0, 1])
+    p = from_roots([1, 2, 3, Fraction(1, 3)]) * U([-2, 0, 1])
     with deadline(past), pytest.raises(TimeoutError, match="gcd"):  # the squarefree gcd first
         isolate_real_roots(p)
     p.squarefree_part()
@@ -524,7 +526,7 @@ def test_rational_input_is_stored_as_integers():
     assert p.coeffs == [3, -2] and all(type(c) is int for c in p.coeffs)
     assert p == U([3, -2]) and hash(p) == hash(U([3, -2]))
     assert repr(p) == "UnivariatePolynomial(-2*x + 3)"
-    assert U.from_roots([Fraction(1, 2), -3]).coeffs == [-3, 5, 2]  # (2x - 1)(x + 3)
+    assert from_roots([Fraction(1, 2), -3]).coeffs == [-3, 5, 2]  # (2x - 1)(x + 3)
     assert (p * Fraction(-3, 2)).coeffs == [-9, 6] and (-p).coeffs == [-3, 2]
     assert (p * p).coeffs == [9, -12, 4] and (p * 0).is_zero()
     assert U([0, Fraction(0)]).is_zero() and repr(U([])) == "UnivariatePolynomial(0)"
@@ -544,8 +546,8 @@ def test_squarefree_part_reuses_the_gcd_cofactor(monkeypatch):
         return divide(a, b)
 
     monkeypatch.setattr(realroots, "ddiv_exact", counted)
-    p = U.from_roots([1, 1, 1, -2, -2, Fraction(1, 3)]) * U([1, 0, 1])
-    assert p.squarefree_part() == U.from_roots([1, -2, Fraction(1, 3)]) * U([1, 0, 1])
+    p = from_roots([1, 1, 1, -2, -2, Fraction(1, 3)]) * U([1, 0, 1])
+    assert p.squarefree_part() == from_roots([1, -2, Fraction(1, 3)]) * U([1, 0, 1])
     assert seen and len(seen) == len(set(seen))
 
 
@@ -674,17 +676,17 @@ def _budget_family():
 
     family = []
     for _ in range(12):
-        family.append(U.from_roots({Fraction(stream.int_in(-64, 64), 2 ** stream.int_in(0, 5))
+        family.append(from_roots({Fraction(stream.int_in(-64, 64), 2 ** stream.int_in(0, 5))
                                     for _ in range(stream.int_in(2, 10))}))
         base, eps = rational(50, 9), Fraction(1, 10 ** stream.int_in(3, 12))
-        family.append(U.from_roots({base + i * eps for i in range(stream.int_in(2, 4))}
+        family.append(from_roots({base + i * eps for i in range(stream.int_in(2, 4))}
                                    | {rational(99, 7) for _ in range(stream.int_in(0, 4))}))
-        p = U.from_roots({rational(30, 5) for _ in range(stream.int_in(1, 5))})
+        p = from_roots({rational(30, 5) for _ in range(stream.int_in(1, 5))})
         for _ in range(stream.int_in(1, 3)):  # (x - a)^2 + b^2 with b = 10^-e
             a, b = rational(30, 5), Fraction(1, 10 ** stream.int_in(1, 8))
             p = p * U([a * a + b * b, -2 * a, 1])
         family.append(p)
-        family.append(U.from_roots({rational(9, 4) for _ in range(stream.int_in(1, 5))})
+        family.append(from_roots({rational(9, 4) for _ in range(stream.int_in(1, 5))})
                       * U([2 ** 80 + stream.int_in(1, 9), stream.int_in(-5, 5), 1]))
     return [p.squarefree_part().coeffs for p in family]
 
@@ -727,7 +729,7 @@ def test_no_split_of_a_node_with_at_most_one_variation(monkeypatch):
     # every root in (0, 1/2): the right half of the top node counts 0 and is
     # never split, nor is any node holding a single root
     split = realroots._split
-    q = U.from_roots([Fraction(1, 5), Fraction(2, 7), Fraction(1, 3)]).coeffs
+    q = from_roots([Fraction(1, 5), Fraction(2, 7), Fraction(1, 3)]).coeffs
     top_right = split(realroots._bernstein(q))[1]
     passes = []
 
@@ -751,7 +753,7 @@ def test_a_miscounted_variation_breaks_the_subdivision_instead_of_splitting_fore
     # below the root separation of q, where its count cannot be 2
     variations = realroots._variations
     monkeypatch.setattr(realroots, "_variations", lambda b: variations(b) + 1)
-    q = U.from_roots([Fraction(1, 3), Fraction(2, 3), -5]).coeffs
+    q = from_roots([Fraction(1, 3), Fraction(2, 3), -5]).coeffs
     with deadline(time.monotonic() + 1), pytest.raises(DomainError, match="isolation broken"):
         realroots._real_roots(q)
 
