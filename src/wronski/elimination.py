@@ -463,36 +463,14 @@ def _integer_grid(p: Polynomial):
     The multiple is den / num for den the lcm of the denominators and num the
     gcd of the numerators; a third variable that occurs raises DomainError.
     """
-    return _primitive_grid(_plane_terms(p))
-
-
-def _plane_terms(p: Polynomial):
-    """{(i, j): c_ij} with p = sum c_ij x^i y^j; a third variable that occurs raises DomainError."""
-    if p.vars == ("x", "y"):
-        return p.terms
     at = {v: i for i, v in enumerate(p.vars)}
     ix, iy = at.pop("x", None), at.pop("y", None)
-    terms = {}
-    for e, c in p.terms.items():
-        if any(e[i] for i in at.values()):
-            raise DomainError("a plane curve lives in x and y alone")
-        terms[(0 if ix is None else e[ix], 0 if iy is None else e[iy])] = c
-    return terms
-
-
-def _primitive_grid(terms, rows=None, cols=None):
-    """The primitive integer multiple of sum c_ij rows[i] cols[j] x^i y^j as a grid.
-
-    rows and cols hold positive integers, all 1 when they are None.
-    """
-    den = lcm(*[c.denominator for c in terms.values()])
-    if rows is None:
-        num = gcd(*[c.numerator for c in terms.values()])
-        return {e: c.numerator * (den // c.denominator) // num for e, c in terms.items()}
-    scaled = [c.numerator * (den // c.denominator) * rows[i] * cols[j]
-              for (i, j), c in terms.items()]
-    content = gcd(*scaled)
-    return dict(zip(terms, [a // content for a in scaled]))
+    if any(e[i] for e in p.terms for i in at.values()):
+        raise DomainError("a plane curve lives in x and y alone")
+    den = lcm(*[a.denominator for a in p.terms.values()])
+    num = gcd(*[a.numerator for a in p.terms.values()])
+    return {(0 if ix is None else e[ix], 0 if iy is None else e[iy]):
+            a.numerator * (den // a.denominator) // num for e, a in p.terms.items()}
 
 
 # The primes below 128 and their product, written out so that importing
@@ -512,9 +490,10 @@ def _tilted(f: Polynomial, g: Polynomial):
     (i, j).  For patchworked curves (coefficients c t^omega(i, j)) the
     valuations of t's primes carry a trend linear in (i, j), and removing it
     (Viro's patchworking, read one prime at a time) shrinks every entry.  A
-    prime's spread in a grid is its largest valuation minus its least.
+    prime's spread in a grid is its largest valuation minus its least; in a
+    primitive grid the least is 0.
 
-    * The tilt is the least-squares plane of both curves' valuations at the
+    * The tilt is the least-squares plane of both grids' valuations at the
       extreme points X of the joint support (the lexicographic least and
       largest points in (i, j) and in (j, i)), slopes rounded and negated;
       a collinear X gives none.
@@ -522,20 +501,21 @@ def _tilted(f: Polynomial, g: Polynomial):
       at least W = min(h, v), h and v the longest horizontal and vertical
       chords in X (a chord of length h shows |a| h).  So a tilt leaves a
       spread V over X at least W - V, and lowers it only when V > W / 2;
-      other primes are skipped.  Candidates divide a numerator or a
-      denominator at X: one gcd with the table's product finds them.
+      other primes are skipped.  V is at most the exponent of p in the
+      product of a grid's entries at X, so one divisibility test of each
+      product skips most primes, and valuations are computed at X only.
     * A tilt is kept only when no entry of either tilted grid is divisible
       by p^V: the prime's spread is then below V, and so below its untilted
       spread.  A prime's valuations after the tilt depend on its own tilt
       alone, so one more pass without the rejected primes is final.
     """
-    terms = [_plane_terms(f), _plane_terms(g)]
-    keys = terms[0].keys() | terms[1].keys()
+    grids = [_integer_grid(f), _integer_grid(g)]
+    keys = grids[0].keys() | grids[1].keys()
     swapped = [(j, i) for i, j in keys]
     (j0, i0), (j1, i1) = min(swapped), max(swapped)
     X = sorted({min(keys), max(keys), (i0, j0), (i1, j1)})
-    at_x = [t.get(e, 0) for t in terms for e in X]
-    # fewer than three extreme points fix no plane, and a curve with no term at X no valuation
+    at_x = [grid.get(e, 0) for grid in grids for e in X]
+    # fewer than three extreme points fix no plane, and a grid with no entry at X no valuation
     tilts = _tilts(X, at_x) if len(X) > 2 and 0 not in at_x else []
     while tilts:
         scale = [1, 1, 1, 1]  # lambda = scale[0] / scale[1], mu = scale[2] / scale[3]
@@ -544,13 +524,17 @@ def _tilted(f: Polynomial, g: Polynomial):
             scale[2 + (b < 0)] *= p ** abs(b)
         # times the denominators of lambda^top_i and mu^top_j, every factor is an integer
         rows, cols = _powers(scale[0], scale[1], max(keys)[0]), _powers(scale[2], scale[3], j1)
-        F, G = _primitive_grid(terms[0], rows, cols), _primitive_grid(terms[1], rows, cols)
-        kept = [t for t in tilts if 0 not in [a % t[3] for a in F.values()]
-                and 0 not in [a % t[4] for a in G.values()]]
+        tilted = []
+        for grid in grids:
+            scaled = [a * rows[i] * cols[j] for (i, j), a in grid.items()]
+            content = gcd(*scaled)
+            tilted.append(dict(zip(grid, [a // content for a in scaled])))
+        kept = [t for t in tilts if 0 not in [a % t[3] for a in tilted[0].values()]
+                and 0 not in [a % t[4] for a in tilted[1].values()]]
         if len(kept) == len(tilts):
-            return [F, G], tuple(t[:3] for t in tilts)
+            return tilted, tuple(t[:3] for t in tilts)
         tilts = kept
-    return [_primitive_grid(t) for t in terms], ()
+    return grids, ()
 
 
 def _powers(a: int, b: int, top: int):
@@ -562,30 +546,15 @@ def _powers(a: int, b: int, top: int):
 
 
 def _tilts(X, at_x):
-    """[(p, a_p, b_p, p^V in F, p^V in G), ...] read off the coefficients at_x at X.
+    """[(p, a_p, b_p, p^V in F, p^V in G), ...] read off the entries at_x at X.
 
-    at_x lists both curves' nonzero coefficients at the sorted extreme points
-    X, curve by curve; see `_tilted`.
+    at_x lists both grids' nonzero entries at the sorted extreme points X,
+    grid by grid; see `_tilted`.
     """
     n = len(X)
-    nums = [c.numerator for c in at_x]
-    dens = [c.denominator for c in at_x]
-    # the exponent of p in norms[k] bounds p's spread over X in curve k from above
-    norms = [prod(nums[:n]) * prod(dens[:n]), prod(nums[n:]) * prod(dens[n:])]
+    # the exponent of p in norms[k] bounds p's spread over X in grid k from above
+    norms = [prod(at_x[:n]), prod(at_x[n:])]
     candidates = gcd(_TILT_PRIMORIAL, *norms)
-    if candidates == 1:
-        return []
-    # least squares: for values v of both curves at X, the plane of their sums
-    # has the slopes (n sum i v - si sum v, n sum j v - sj sum v) [[sjj, -sij],
-    # [-sij, sii]] / det, twice each curve's; det is zero exactly when X is collinear
-    si = sj = sii = sjj = sij = 0
-    for i, j in X:
-        si, sj, sii, sjj, sij = si + i, sj + j, sii + i * i, sjj + j * j, sij + i * j
-    sii, sjj, sij = n * sii - si * si, n * sjj - sj * sj, n * sij - si * sj
-    det = sii * sjj - sij * sij
-    if not det:
-        return []
-    xi, xj = [i for i, _ in X] * 2, [j for _, j in X] * 2
     # W = min(h, v) for the longest horizontal and vertical chords h and v in X
     h = v = 0
     for i, j in X:
@@ -595,45 +564,40 @@ def _tilts(X, at_x):
             elif i == k:
                 v = max(v, l - j)
     half = min(h, v) // 2
+    primes = [p for p in _TILT_PRIMES if not candidates % p
+              and not norms[0] % p ** (half + 1) and not norms[1] % p ** (half + 1)]
+    if not primes:
+        return []
+    # least squares: with ci, cj the coordinates of X centred and times n, the
+    # slopes of both grids' planes through their values v at X add up to
+    # (sum wa v, sum wb v) / det; det is zero exactly when X is collinear
+    si, sj = sum(i for i, _ in X), sum(j for _, j in X)
+    ci, cj = [n * i - si for i, _ in X], [n * j - sj for _, j in X]
+    sii, sjj, sij = sum(map(mul, ci, ci)), sum(map(mul, cj, cj)), sum(map(mul, ci, cj))
+    det = (sii * sjj - sij * sij) // n
+    if not det:
+        return []
+    wa = [x * sjj - y * sij for x, y in zip(ci, cj)] * 2
+    wb = [y * sii - x * sij for x, y in zip(ci, cj)] * 2
     tilts = []
-    for p in _TILT_PRIMES:
-        if candidates == 1:
-            break
-        if candidates % p:
-            continue
-        candidates //= p
-        bar = p ** (half + 1)
-        if norms[0] % bar or norms[1] % bar:
-            continue
-        if p == 2:
-            vals = [(a & -a).bit_length() - (b & -b).bit_length() for a, b in zip(nums, dens)]
-        else:
-            vals = [_valuation(a, p) if not a % p else -_valuation(b, p) if not b % p else 0
-                    for a, b in zip(nums, dens)]
+    for p in primes:
+        vals = [_valuation(a, p) for a in at_x]
         v0, v1 = vals[:n], vals[n:]
         spread0, spread1 = max(v0) - min(v0), max(v1) - min(v1)
         if min(spread0, spread1) > half:
-            sv = sum(vals)
-            siv, sjv = n * sum(map(mul, xi, vals)) - si * sv, n * sum(map(mul, xj, vals)) - sj * sv
-            # each curve's fitted slopes, negated and rounded to the nearest integer
-            a = -((siv * sjj - sjv * sij + det) // (2 * det))
-            b = -((sjv * sii - siv * sij + det) // (2 * det))
+            # the mean of the grids' slopes, negated and rounded to the nearest integer
+            a = -((sum(map(mul, wa, vals)) + det) // (2 * det))
+            b = -((sum(map(mul, wb, vals)) + det) // (2 * det))
             if a or b:
                 tilts.append((p, a, b, p ** spread0, p ** spread1))
     return tilts
 
 
 def _valuation(a: int, p: int) -> int:
-    """The exponent of the odd prime p in the nonzero integer a, in steps of p^k < 2^30."""
-    k = 30 // p.bit_length()
-    q = p ** k
+    """The exponent of the prime p in the nonzero integer a."""
     v = 0
-    a, r = divmod(a, q)
-    while not r:
-        v += k
-        a, r = divmod(a, q)
-    while not r % p:
-        r //= p
+    while not a % p:
+        a //= p
         v += 1
     return v
 
